@@ -7,8 +7,8 @@ import (
 )
 
 // The benchmark regression gate behind `mdstbench -perf out.json -compare
-// baseline.json`: the fresh perf suite is diffed against a recorded
-// trajectory file (BENCH_baseline.json, BENCH_csr.json, ...) workload by
+// baseline.json`: the fresh suite is diffed against a recorded baseline
+// file (BENCH_wire.json for -perf, BENCH_net.json for -netbench) workload by
 // workload, and the process exits non-zero when any shared workload
 // regressed past the thresholds. Time comparisons get a generous multiplier
 // because wall time is machine- and load-dependent; allocation counts are
@@ -59,7 +59,7 @@ func comparePerf(baseline *perfReport, fresh *perfReport, nsThreshold float64) (
 	}
 	// Wall time across different parallelism widths is not a regression
 	// signal: a baseline recorded at GOMAXPROCS=8 compared on a 2-core
-	// runner would fail every sharded entry on hardware alone. On mismatch,
+	// runner would fail every parallel entry on hardware alone. On mismatch,
 	// warn loudly and downgrade ns/op regressions to warnings; allocation
 	// counts are deterministic regardless of width and stay a hard gate.
 	widthMismatch := baseline.GOMAXPROCS != fresh.GOMAXPROCS

@@ -78,30 +78,6 @@ func IDs() []string {
 
 func unitEngine() sim.Engine { return &sim.EventEngine{Delay: sim.UnitDelay, FIFO: true} }
 
-// shardNodeThreshold routes workloads at or above this node count through
-// the shard-partitioned engine. Sharding is result-invariant (the N-shard
-// engine is delivery-trace-equivalent to the 1-shard one, pinned by the
-// sim differential tests), so the golden tables stay byte-identical — the
-// routing only buys wall-clock time on the sweep's largest graphs, where a
-// single trial dominates a worker's schedule.
-const shardNodeThreshold = 256
-
-// engineFor returns the unit-delay engine sized to the workload: the
-// sharded runtime for the largest graphs, the plain event engine below the
-// threshold (where round barriers would cost more than they parallelise).
-// Workers is pinned to 1 because the Runner already saturates the host
-// with one trial per core — nesting phase workers inside trial workers
-// would oversubscribe the CPU and stall every round barrier on the
-// slowest descheduled worker. The per-run contiguous partition build is
-// O(n+m) — microseconds against the tens of milliseconds a routed trial
-// costs — so it is not cached across trials.
-func engineFor(c *graph.CSR) sim.Engine {
-	if c.N() >= shardNodeThreshold {
-		return &sim.ShardedEngine{Shards: 4, Workers: 1, Delay: sim.UnitDelay, FIFO: true}
-	}
-	return unitEngine()
-}
-
 func mustStar(g *graph.Graph) *tree.Tree {
 	t, err := spanning.StarTree(g)
 	if err != nil {
@@ -111,7 +87,7 @@ func mustStar(g *graph.Graph) *tree.Tree {
 }
 
 func mustRun(c *graph.CSR, t0 *tree.Tree, mode mdst.Mode) *mdst.Result {
-	res, err := mdst.RunSnapshot(engineFor(c), c, t0, mode)
+	res, err := mdst.RunSnapshot(unitEngine(), c, t0, mode)
 	if err != nil {
 		panic(fmt.Sprintf("exp: %v", err))
 	}
@@ -683,7 +659,7 @@ func e9Spec(cfg Config) spec {
 	}
 	distributed := func(factory func(g *graph.Graph) sim.Factory) func(c *graph.CSR) (*tree.Tree, *sim.Report) {
 		return func(c *graph.CSR) (*tree.Tree, *sim.Report) {
-			tr, rep, err := spanning.BuildCompiled(engineFor(c), c, factory(c.Source()))
+			tr, rep, err := spanning.BuildCompiled(unitEngine(), c, factory(c.Source()))
 			if err != nil {
 				panic(err)
 			}
@@ -760,11 +736,11 @@ func e10Spec(cfg Config) spec {
 			final, _ := mustTwin(c, t0, mdst.Hybrid)
 			before, _ := t0.MaxDegree()
 			after, _ := final.MaxDegree()
-			rb, err := apps.RunCompiled(engineFor(c), c, apps.Config{Tree: t0, Ack: true})
+			rb, err := apps.RunCompiled(unitEngine(), c, apps.Config{Tree: t0, Ack: true})
 			if err != nil {
 				panic(err)
 			}
-			ra, err := apps.RunCompiled(engineFor(c), c, apps.Config{Tree: final, Ack: true})
+			ra, err := apps.RunCompiled(unitEngine(), c, apps.Config{Tree: final, Ack: true})
 			if err != nil {
 				panic(err)
 			}

@@ -504,7 +504,7 @@ func parseFinalMsg(payload []byte, t *WireTable) (*finalMsg, error) {
 	return m, nil
 }
 
-// ckptMsg is one process's checkpoint shard, uploaded to the coordinator
+// ckptMsg is one process's checkpoint part, uploaded to the coordinator
 // at an armed barrier: counters, owned states and the full key-sorted
 // stream of deliveries the process sent into the frozen round.
 type ckptMsg struct {

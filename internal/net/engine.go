@@ -12,9 +12,9 @@ import (
 // DistEngine executes a protocol run across the OS processes of an
 // established Transport mesh: each process hosts the nodes its Owner table
 // assigns to it and drives unit-delay rounds separated by an all-to-all
-// barrier. The barrier reuses the sharded engine's determinism machinery
-// (DESIGN.md §7) verbatim — deliveries keyed (parent rank, send position),
-// rank offsets from a prefix sum over broadcast send counts — so the
+// barrier. The barrier carries sim.DistRunner's determinism machinery
+// (DESIGN.md §13) — deliveries keyed (parent rank, send position), rank
+// offsets from a prefix sum over broadcast send counts — so the
 // distributed run is tree-, report- and checkpoint-byte-equivalent to the
 // in-process engines. DistEngine is a drop-in sim.SnapshotEngine: the
 // spanning and mdst pipelines run on it unchanged.
@@ -37,13 +37,12 @@ type DistEngine struct {
 	T *Transport
 	// Owner maps every dense node to its owning process.
 	Owner []int32
-	// MaxMessages aborts the run when exceeded, checked at barrier
-	// granularity exactly like the sharded engine (0 means
-	// sim.DefaultMaxMessages).
+	// MaxMessages aborts the run with a *sim.BudgetError when exceeded,
+	// checked at barrier granularity (0 means sim.DefaultMaxMessages).
 	MaxMessages int64
 	// Checkpoint, when non-nil, arms barrier checkpointing. Freeze mode
 	// (Every == 0) stops the run at the barrier after round
-	// Checkpoint.Round: the peers upload their shards to process 0, which
+	// Checkpoint.Round: the peers upload their parts to process 0, which
 	// assembles and writes a file byte-identical to the in-process
 	// engines' (Checkpoint.W is used on process 0 only) and acknowledges
 	// the commit before anyone stops. Periodic mode (Every > 0) runs the
@@ -79,10 +78,10 @@ type DistEngine struct {
 // goroutine-only and sized by the high-water mark of the rounds driven so
 // far.
 type roundScratch struct {
-	cnt   []int64      // rank slab: counts scattered, prefix-summed into offsets
-	base  []int64      // per-parent local placement cursors for the splice
-	inbox []sim.OutMsg // spliced global-order delivery plane handed to PlayRound
-	enc   [][]byte     // per-peer frame encode slabs
+	cnt   []int64        // rank slab: counts scattered, prefix-summed into offsets
+	base  []int64        // per-parent local placement cursors for the splice
+	inbox []sim.OutMsg   // spliced global-order delivery plane handed to PlayRound
+	enc   [][]byte       // per-peer frame encode slabs
 	rx    [][]sim.OutMsg // per-peer decoded-batch slabs
 
 	states     []ownedState // owned-state headers for the all-gather / checkpoint
@@ -213,8 +212,7 @@ func (e *DistEngine) run(c *graph.CSR, f sim.Factory, ck *sim.Checkpoint) (r *si
 		// counters on process 0 only (the final merge sums them back), and
 		// the pending slab replayed as an already-spliced inbox — rank i is
 		// delivery i of the frozen round, so the offsets are the identity
-		// and the owned records carry their rank directly. The same
-		// reseeding the sharded engine does, with processes for shards.
+		// and the owned records carry their rank directly.
 		if err := ck.ValidateAgainst(c); err != nil {
 			return nil, nil, err
 		}
@@ -278,11 +276,11 @@ func (e *DistEngine) run(c *graph.CSR, f sim.Factory, ck *sim.Checkpoint) (r *si
 				return nil, nil, sim.ErrCheckpointed
 			}
 		}
-		// The sharded cap predicate at barrier granularity: delivered and
-		// total are barrier-agreed values, so every process takes the same
+		// The message budget at barrier granularity: delivered and total
+		// are barrier-agreed values, so every process takes the same
 		// branch.
 		if delivered > maxMsgs || (delivered >= maxMsgs && total > 0) {
-			return nil, nil, fmt.Errorf("sim: exceeded %d messages; protocol livelock?", maxMsgs)
+			return nil, nil, &sim.BudgetError{Limit: maxMsgs, Sent: delivered}
 		}
 		if total == 0 {
 			break
@@ -576,7 +574,7 @@ func (e *DistEngine) finish(r *sim.DistRunner, c *graph.CSR, seq uint64, round i
 }
 
 // commit runs the distributed checkpoint protocol at the just-closed
-// barrier. Peers upload their shard — counters, owned states and the
+// barrier. Peers upload their part — counters, owned states and the
 // key-sorted stream of all deliveries they sent into the frozen round — to
 // process 0, which decodes the full state plane, merges the counters,
 // reconstructs the global pending slab by placing every record directly

@@ -2,17 +2,17 @@
 // length-framed TCP transport for batched wire-format messages, a
 // versioned handshake exchanging the opcode/schema table, and a
 // distributed unit-delay round engine that lets OS processes — each
-// hosting one partition shard of protocol nodes — execute a run that is
+// hosting one partition of protocol nodes — execute a run that is
 // tree-, report- and checkpoint-byte-equivalent to the in-process
 // simulator. The cmd/mdstd daemon is its operational face.
 //
-// The plane deliberately reuses the sharded runtime's determinism
-// machinery (DESIGN.md §7): deliveries are keyed (parent rank, send
-// position), cross-process batches merge canonically, and round ranks come
-// from a prefix sum over per-delivery send counts broadcast at each
-// barrier. A K-process run over loopback therefore produces bit-identical
-// results to the 1-shard engine — which is what the differential loopback
-// suite pins.
+// The plane drives sim.DistRunner's determinism machinery (DESIGN.md
+// §13): deliveries are keyed (parent rank, send position), cross-process
+// batches splice canonically, and round ranks come from a prefix sum over
+// per-delivery send counts broadcast at each barrier. A K-process run over
+// loopback therefore produces bit-identical results to the
+// single-process engine — which is what the differential loopback suite
+// pins.
 package net
 
 import (
@@ -28,7 +28,7 @@ const (
 	frameHello   = byte(1) // handshake: version, identity, fingerprint, opcode table
 	frameRound   = byte(2) // one barrier contribution: run, round, rank counts, delivery batch
 	frameFinal   = byte(3) // quiescence all-gather: report counters + owned states
-	frameCkpt    = byte(4) // checkpoint shard upload to the coordinator
+	frameCkpt    = byte(4) // checkpoint part upload to the coordinator
 	frameCkptAck = byte(5) // coordinator's checkpoint commit acknowledgement
 	frameHeart   = byte(6) // liveness beacon: sender's data-frame count for this peer
 )

@@ -5,12 +5,12 @@ import (
 	"time"
 )
 
-// NetStats is the distributed plane's observability counterpart of
-// sim.PhaseStats: per-run wire and barrier counters accumulated by a
-// DistEngine when its Stats field is armed. The counters answer the two
-// questions a round-dominated deployment always asks — how many bytes does
-// a round cost on the wire, and how much of the wall clock is barrier wait
-// rather than protocol work. Divide by Rounds for per-round costs.
+// NetStats holds the distributed plane's per-run wire and barrier
+// counters, accumulated by a DistEngine when its Stats field is armed.
+// The counters answer the two questions a round-dominated deployment
+// always asks — how many bytes does a round cost on the wire, and how much
+// of the wall clock is barrier wait rather than protocol work. Divide by
+// Rounds for per-round costs.
 //
 // Arming is free when off: a nil Stats pointer costs one branch per
 // barrier. All fields are written by the engine goroutine only; read them
@@ -33,8 +33,7 @@ type NetStats struct {
 	// barrier in the steady state).
 	Flushes int64 `json:"flushes"`
 	// BarrierWaitNs is the time the engine goroutine spent blocked in Recv
-	// at round barriers — the distributed sibling of PhaseStats' barrier
-	// phase. Wire decode time is excluded.
+	// at round barriers. Wire decode time is excluded.
 	BarrierWaitNs int64 `json:"barrier_wait_ns"`
 }
 

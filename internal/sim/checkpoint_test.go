@@ -38,8 +38,7 @@ func runTraced(t *testing.T, mkEng func(trace func(TraceEvent)) Engine, c *graph
 // TestCheckpointResumeEveryBarrier is the core differential: a run
 // interrupted at every reachable round barrier and resumed must reproduce
 // the uninterrupted run's delivery trace (checkpoint-leg prefix + resume
-// leg), Report and final protocol states — on the round engine and on the
-// sharded engine, resuming on either.
+// leg), Report and final protocol states.
 func TestCheckpointResumeEveryBarrier(t *testing.T) {
 	c := graph.Gnm(24, 72, 5).Compile()
 	factory := tokenFactory(30)
@@ -60,9 +59,6 @@ func TestCheckpointResumeEveryBarrier(t *testing.T) {
 		{"event", func(tr func(TraceEvent)) ResumableEngine {
 			return &EventEngine{Delay: UnitDelay, FIFO: true, Trace: tr}
 		}},
-		{"sharded-3", func(tr func(TraceEvent)) ResumableEngine {
-			return &ShardedEngine{Shards: 3, Delay: UnitDelay, FIFO: true, Trace: tr}
-		}},
 	}
 	checkpointers := []struct {
 		name string
@@ -70,9 +66,6 @@ func TestCheckpointResumeEveryBarrier(t *testing.T) {
 	}{
 		{"event", func(spec *CheckpointSpec, tr func(TraceEvent)) Engine {
 			return &EventEngine{Delay: UnitDelay, FIFO: true, Trace: tr, Checkpoint: spec}
-		}},
-		{"sharded-3", func(spec *CheckpointSpec, tr func(TraceEvent)) Engine {
-			return &ShardedEngine{Shards: 3, Delay: UnitDelay, FIFO: true, Trace: tr, Checkpoint: spec}
 		}},
 	}
 
@@ -132,31 +125,19 @@ func assertReportsEqual(t *testing.T, label string, got, want *Report) {
 }
 
 // TestCheckpointFileDeterminism pins byte-exactness: the same barrier
-// produces the same file on the round engine and any sharded engine.
+// produces the same file on every run.
 func TestCheckpointFileDeterminism(t *testing.T) {
 	c := graph.Gnm(24, 72, 5).Compile()
 	factory := tokenFactory(30)
-	write := func(eng Engine) []byte {
+	write := func() []byte {
 		var buf bytes.Buffer
-		switch e := eng.(type) {
-		case *EventEngine:
-			e.Checkpoint = &CheckpointSpec{Round: 4, W: &buf}
-		case *ShardedEngine:
-			e.Checkpoint = &CheckpointSpec{Round: 4, W: &buf}
-		}
+		eng := &EventEngine{Delay: UnitDelay, FIFO: true, Checkpoint: &CheckpointSpec{Round: 4, W: &buf}}
 		if _, _, err := RunCompiled(eng, c, factory); !errors.Is(err, ErrCheckpointed) {
 			t.Fatalf("err = %v", err)
 		}
 		return buf.Bytes()
 	}
-	ref := write(&EventEngine{Delay: UnitDelay, FIFO: true})
-	for _, shards := range []int{2, 3, 5} {
-		got := write(&ShardedEngine{Shards: shards, Delay: UnitDelay, FIFO: true})
-		if !bytes.Equal(ref, got) {
-			t.Errorf("shards=%d: checkpoint bytes differ from the round engine's", shards)
-		}
-	}
-	if again := write(&EventEngine{Delay: UnitDelay, FIFO: true}); !bytes.Equal(ref, again) {
+	if ref, again := write(), write(); !bytes.Equal(ref, again) {
 		t.Error("repeated checkpoint not byte-identical")
 	}
 }
@@ -261,14 +242,14 @@ func TestBinaryTraceRoundTrip(t *testing.T) {
 func TestCheckpointHugeCountsRejected(t *testing.T) {
 	craft := func(mutate func(body []byte) []byte) []byte {
 		var body []byte
-		body = appendVarint(body, 2)      // round
-		body = appendUvarint(body, 4)     // n
-		body = appendUvarint(body, 8)     // halfEdges
-		body = appendVarint(body, 10)     // messages
-		body = appendVarint(body, 20)     // words
-		body = appendUvarint(body, 2)     // maxWords
-		body = appendVarint(body, 2)      // causalDepth
-		body = mutate(body)               // section counts under attack
+		body = appendVarint(body, 2)  // round
+		body = appendUvarint(body, 4) // n
+		body = appendUvarint(body, 8) // halfEdges
+		body = appendVarint(body, 10) // messages
+		body = appendVarint(body, 20) // words
+		body = appendUvarint(body, 2) // maxWords
+		body = appendVarint(body, 2)  // causalDepth
+		body = mutate(body)           // section counts under attack
 		var out []byte
 		out = append(out, ckptMagic[:]...)
 		out = appendUvarint(out, CheckpointVersion)
@@ -300,4 +281,25 @@ func TestCheckpointHugeCountsRejected(t *testing.T) {
 			t.Errorf("%s: err = %v, want *CheckpointError", name, err)
 		}
 	}
+}
+
+// loggingTokenFactory wraps the token protocol with a Logf note per
+// handler call, so trace tests cover note ordering too.
+func loggingTokenFactory(limit int) Factory {
+	inner := tokenFactory(limit)
+	return func(id NodeID, nbrs []NodeID) Protocol {
+		return &loggingProto{p: inner(id, nbrs)}
+	}
+}
+
+type loggingProto struct{ p Protocol }
+
+func (l *loggingProto) Init(ctx Context) {
+	ctx.Logf("init %d", ctx.ID())
+	l.p.Init(ctx)
+}
+
+func (l *loggingProto) Recv(ctx Context, from NodeID, m WireMsg) {
+	ctx.Logf("recv %d<-%d", ctx.ID(), from)
+	l.p.Recv(ctx, from, m)
 }

@@ -34,7 +34,7 @@ func (s *memSink) Commit(round int64, write func(io.Writer) error) error {
 // TestPeriodicCheckpointCadence pins the Every-K mode: the run completes
 // normally with an untouched result, commits land at exactly the cadence
 // barriers, and each committed file is byte-identical to a freeze-at-that-
-// round checkpoint of the same run — on both unit-delay engines.
+// round checkpoint of the same run.
 func TestPeriodicCheckpointCadence(t *testing.T) {
 	c := graph.Gnm(24, 72, 5).Compile()
 	factory := tokenFactory(30)
@@ -64,9 +64,6 @@ func TestPeriodicCheckpointCadence(t *testing.T) {
 	}{
 		{"event", func(spec *CheckpointSpec) Engine {
 			return &EventEngine{Delay: UnitDelay, FIFO: true, Checkpoint: spec}
-		}},
-		{"sharded-3", func(spec *CheckpointSpec) Engine {
-			return &ShardedEngine{Shards: 3, Delay: UnitDelay, FIFO: true, Checkpoint: spec}
 		}},
 	}
 	for _, eng := range engines {

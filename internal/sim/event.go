@@ -63,6 +63,20 @@ func UniformDelay(lo float64) DelayFn {
 // DefaultMaxMessages caps runaway protocols in the event engine.
 const DefaultMaxMessages = 200_000_000
 
+// BudgetError reports a run stopped by its message budget. The in-process
+// engines stop with Sent == Limit and at least one message still in
+// flight; DistEngine checks at barrier granularity, so its Sent may exceed
+// Limit. A run that needs more messages than the budget and a run that
+// never quiesces look the same here, so the error names neither.
+type BudgetError struct {
+	Limit int64 // the budget (MaxMessages, or DefaultMaxMessages)
+	Sent  int64 // messages delivered when the run stopped
+}
+
+func (e *BudgetError) Error() string {
+	return fmt.Sprintf("sim: message budget of %d exhausted (%d delivered)", e.Limit, e.Sent)
+}
+
 // EventEngine is a deterministic discrete-event simulator: events are
 // delivered in (time, sequence) order, delays come from a seeded RNG, and
 // the whole run is reproducible.
@@ -93,8 +107,8 @@ type EventEngine struct {
 	// The paper's channels are FIFO; disable to stress protocols under
 	// reordering.
 	FIFO bool
-	// MaxMessages aborts the run when exceeded (0 means
-	// DefaultMaxMessages); it converts protocol livelock into an error.
+	// MaxMessages aborts the run with a *BudgetError when exceeded (0
+	// means DefaultMaxMessages).
 	MaxMessages int64
 	// Trace, when non-nil, observes every delivery and Logf note.
 	Trace func(TraceEvent)
@@ -322,7 +336,7 @@ func (e *EventEngine) runSnapshotDense(c *graph.CSR, f Factory) ([]Protocol, *Re
 	for !er.wheel.empty() {
 		ev := er.wheel.pop()
 		if er.report.Messages >= maxMsgs {
-			return nil, nil, fmt.Errorf("sim: exceeded %d messages; protocol livelock?", maxMsgs)
+			return nil, nil, &BudgetError{Limit: maxMsgs, Sent: er.report.Messages}
 		}
 		ctx := &scratch.ctxs[ev.toDense]
 		ctx.now = ev.t

@@ -31,10 +31,10 @@ type Report struct {
 	VirtualTime float64
 	// SentBy counts messages sent per node.
 	SentBy map[NodeID]int64
-	// Shards is the number of state shards whose accounting this report
-	// merges: 1 for the ordinary engines, N for an N-shard ShardedEngine
-	// run. It describes the runtime configuration, not the execution —
-	// all other fields are identical at any shard count.
+	// Shards is the number of disjoint state partitions whose accounting
+	// this report merges (MergeParallel sums it). Every engine reports 1:
+	// DistEngine resets its merged report to 1, because a cluster run is
+	// one logical execution. The field stays for the JSON schema.
 	Shards int
 	// Wall is the host wall-clock duration of the run.
 	Wall time.Duration
@@ -109,12 +109,11 @@ func (r *Report) adoptDenseSent(slab []int64, ids []NodeID) {
 	r.sentIDs = ids
 }
 
-// recordKR accounts one delivery with the map ops taken off the
-// per-message path — all the scalar counters plus the memoised (opcode,
-// round) counter, but no sender accounting. The sharded round path uses
-// it directly: senders are counted at send time into the run's shared
-// dense slab, where each shard touches only its own nodes' entries.
-func (r *Report) recordKR(m WireMsg, depth int64) {
+// recordFast accounts one delivery with the map ops taken off the
+// per-message path: the scalar counters, the memoised (opcode, round)
+// counter, and sender accounting by dense index into the adopted slab.
+// Callers must have armed adoptDenseSent.
+func (r *Report) recordFast(fromDense int32, m WireMsg, depth int64) {
 	r.Messages++
 	if k := (kindRoundKey{m.Op, m.MsgRound()}); k == r.lastKey && r.lastCount > 0 {
 		r.lastCount++
@@ -132,12 +131,6 @@ func (r *Report) recordKR(m WireMsg, depth int64) {
 	if depth > r.CausalDepth {
 		r.CausalDepth = depth
 	}
-}
-
-// recordFast is recordKR plus sender accounting by dense index into the
-// adopted slab. Callers must have armed adoptDenseSent.
-func (r *Report) recordFast(fromDense int32, m WireMsg, depth int64) {
-	r.recordKR(m, depth)
 	r.sentDense[fromDense]++
 }
 
@@ -188,13 +181,13 @@ func (r *Report) finalize() {
 }
 
 // MergeParallel merges o into r as the accounting of a disjoint state
-// shard of the *same* execution: counters and per-key breakdowns sum,
+// partition of the *same* execution: counters and per-key breakdowns sum,
 // while the time-like measures (CausalDepth, VirtualTime, Wall) take the
-// maximum — parallel shards share one clock, they do not run back to back
-// (that composition is Add). Shards sums, so merging N single-shard
-// reports yields Shards == N. The sharded engine merges its per-shard
-// reports with this before finalize; callers may equally merge finalized
-// reports — the public breakdown maps are combined either way.
+// maximum — parallel partitions share one clock, they do not run back to
+// back (that composition is Add). Shards sums, so merging N single-part
+// reports yields Shards == N. DistEngine merges its processes' reports
+// with this; reports may be merged before or after finalize — the public
+// breakdown maps are combined either way.
 func (r *Report) MergeParallel(o *Report) {
 	r.Messages += o.Messages
 	if r.finalized || o.finalized {
@@ -213,21 +206,7 @@ func (r *Report) MergeParallel(o *Report) {
 			r.ByKindRound[k] += v
 		}
 	} else {
-		o.syncMemo()
-		// Same-run shard reports share one dense send slab shape: sum them
-		// as vectors and defer the single map fold to finalize. A shape
-		// mismatch (or a plain-map accumulator on either side) falls back
-		// to folding o's slab and merging maps.
-		if o.sentDense != nil {
-			if r.sentDense != nil && len(r.sentDense) == len(o.sentDense) {
-				for i, v := range o.sentDense {
-					r.sentDense[i] += v
-				}
-				o.sentDense, o.sentIDs = nil, nil
-			} else {
-				o.foldDense()
-			}
-		}
+		o.syncHot()
 		for k, v := range o.kindRound {
 			r.kindRound[k] += v
 		}

@@ -184,7 +184,7 @@ func (e *EventEngine) runRoundsFrom(c *graph.CSR, f Factory, maxMsgs int64, star
 		for i := range rr.cur {
 			d := rr.cur[i]
 			if rr.report.Messages >= maxMsgs {
-				return nil, nil, fmt.Errorf("sim: exceeded %d messages; protocol livelock?", maxMsgs)
+				return nil, nil, &BudgetError{Limit: maxMsgs, Sent: rr.report.Messages}
 			}
 			rr.report.recordFast(d.fromDense, d.msg, rr.round)
 			if rr.trace != nil {

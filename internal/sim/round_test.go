@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -96,13 +97,29 @@ func TestRoundEngineConcurrent(t *testing.T) {
 	}
 }
 
-// TestRoundEngineLivelockGuard pins the MaxMessages abort on the round tier
-// (the generic guard test runs under UnitDelay too, but this one fixes the
-// exact path after tier selection).
+// TestRoundEngineLivelockGuard pins the MaxMessages abort on every tier
+// of the in-process engines: the run stops with a *BudgetError carrying
+// the configured budget, after exactly that many deliveries.
 func TestRoundEngineLivelockGuard(t *testing.T) {
 	g := graph.Ring(4)
-	_, _, err := (&EventEngine{Delay: UnitDelay, MaxMessages: 500}).Run(g, func(NodeID, []NodeID) Protocol { return chainReaction{} })
-	if err == nil {
-		t.Fatal("expected livelock error")
+	f := func(NodeID, []NodeID) Protocol { return chainReaction{} }
+	for _, tc := range []struct {
+		name string
+		eng  Engine
+	}{
+		{"event-round", &EventEngine{Delay: UnitDelay, MaxMessages: 500}},
+		{"event-wheel", &EventEngine{Delay: wrappedUnit, MaxMessages: 500}},
+		{"reference", &ReferenceEngine{MaxMessages: 500}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, _, err := tc.eng.Run(g, f)
+			var be *BudgetError
+			if !errors.As(err, &be) {
+				t.Fatalf("err = %v, want *BudgetError", err)
+			}
+			if be.Limit != 500 || be.Sent != 500 {
+				t.Fatalf("BudgetError = %+v, want Limit 500 and Sent 500", *be)
+			}
+		})
 	}
 }

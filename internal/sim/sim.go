@@ -3,7 +3,7 @@
 // edges of an undirected graph, with no shared memory, no global clock, and
 // event-driven nodes.
 //
-// Four interchangeable engines execute a Protocol over a graph:
+// Three interchangeable in-process engines execute a Protocol over a graph:
 //
 //   - EventEngine: a deterministic, seeded discrete-event simulator. With
 //     UnitDelay it realises exactly the paper's time-complexity measure (the
@@ -15,17 +15,17 @@
 //     over the (now, now+1] delivery window — pooled scratch and
 //     slice-indexed FIFO clamps keep the hot path allocation-free because
 //     the experiment harness runs it thousands of times per sweep.
-//   - ShardedEngine: the shard-partitioned runtime (DESIGN.md §7) — one
-//     run's per-node state plane split across shards per a
-//     graph.Partition, executing unit-delay rounds window-parallel on
-//     multi-core hosts. Delivery-trace-equivalent to EventEngine at any
-//     shard count; only wall-clock time changes.
 //   - ReferenceEngine: the straightforward implementation the other
 //     engines are differentially tested and benchmarked against; same
 //     semantics, none of the optimisations.
 //   - AsyncEngine: every node is a goroutine, every link a FIFO mailbox, so
 //     message interleaving comes from the Go scheduler — true concurrency
 //     for race detection and delivery-order-independence tests.
+//
+// EventEngine's unit-delay tier also has a networked twin: DistRunner
+// (dist.go) plays one process's part of the same round schedule, and
+// internal/net's DistEngine runs it across a TCP mesh with byte-identical
+// results.
 //
 // Messages travel as flat wire records (wire.go): each protocol registers
 // an opcode schema and sends WireMsg values — an opcode plus up to a few

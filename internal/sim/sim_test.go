@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -237,8 +238,9 @@ func TestLivelockGuard(t *testing.T) {
 	g := graph.Ring(4)
 	eng := &EventEngine{Delay: UnitDelay, MaxMessages: 1000}
 	_, _, err := eng.Run(g, func(NodeID, []NodeID) Protocol { return chainReaction{} })
-	if err == nil || !strings.Contains(err.Error(), "livelock") {
-		t.Errorf("want livelock error, got %v", err)
+	var be *BudgetError
+	if !errors.As(err, &be) || be.Limit != 1000 {
+		t.Errorf("want *BudgetError with Limit 1000, got %v", err)
 	}
 }
 

@@ -77,11 +77,11 @@ func (q *bucketQueue) push(e event) {
 	q.size++
 }
 
-// peek returns the minimum (time, sequence) event without removing it,
-// rotating past exhausted buckets and sorting the bucket that becomes
-// current (the same positioning work pop would do). The caller must ensure
-// the queue is non-empty.
-func (q *bucketQueue) peek() event {
+// pop removes and returns the minimum (time, sequence) event, rotating
+// past exhausted buckets and sorting the bucket that becomes current. The
+// caller must ensure the queue is non-empty. Events are flat wire records —
+// no pointers — so drained slots need no zeroing.
+func (q *bucketQueue) pop() event {
 	slot := q.cur & wheelMask
 	b := q.buckets[slot]
 	for q.pos >= len(b) {
@@ -96,14 +96,7 @@ func (q *bucketQueue) peek() event {
 		b = q.buckets[slot]
 		sortEvents(b)
 	}
-	return b[q.pos]
-}
-
-// pop removes and returns the minimum (time, sequence) event. The caller
-// must ensure the queue is non-empty. Events are flat wire records — no
-// pointers — so drained slots need no zeroing.
-func (q *bucketQueue) pop() event {
-	e := q.peek()
+	e := b[q.pos]
 	q.pos++
 	q.size--
 	return e
@@ -124,7 +117,7 @@ func (q *bucketQueue) nextOccupied(v int64) int64 {
 }
 
 // reset drops any events left behind by an abnormal exit (protocol panic,
-// livelock abort) and returns the wheel to its initial state, keeping the
+// budget abort) and returns the wheel to its initial state, keeping the
 // per-bucket backing arrays for reuse. Events are pointer-free records, so
 // truncation suffices.
 func (q *bucketQueue) reset() {

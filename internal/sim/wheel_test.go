@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+
+	"mdegst/internal/graph"
 )
 
 // Property and fuzz coverage for the calendar wheel's bucket-boundary
@@ -162,7 +164,7 @@ func TestWheelBoundaryDelaysEngine(t *testing.T) {
 			return d
 		}
 	}
-	g := shardCorpus()["gnm-dense"]
+	g := graph.Gnm(32, 128, 7)
 	fast := &EventEngine{Delay: mkDelay(), FIFO: true}
 	ref := &ReferenceEngine{Delay: mkDelay(), FIFO: true}
 	fp, frep, err := fast.Run(g, tokenFactory(60))

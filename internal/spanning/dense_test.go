@@ -9,8 +9,7 @@ import (
 )
 
 // requireSameReport compares everything deterministic between two runs of
-// the same execution (Wall always differs; Shards describes the runtime
-// configuration, not the execution).
+// the same execution (Wall always differs).
 func requireSameReport(t *testing.T, what string, a, b *sim.Report) {
 	t.Helper()
 	if a.Messages != b.Messages || a.Words != b.Words || a.MaxWords != b.MaxWords ||
@@ -29,11 +28,9 @@ func requireSameReport(t *testing.T, what string, a, b *sim.Report) {
 func TestBuildCompiledDenseMatchesMap(t *testing.T) {
 	engines := func() map[string]sim.Engine {
 		return map[string]sim.Engine{
-			"event-unit":    &sim.EventEngine{Delay: sim.UnitDelay},
-			"event-random":  &sim.EventEngine{Delay: sim.UniformDelay(0.2), Seed: 7, FIFO: true},
-			"sharded-unit":  &sim.ShardedEngine{Shards: 3, Workers: 3, Delay: sim.UnitDelay},
-			"sharded-wheel": &sim.ShardedEngine{Shards: 3, Delay: sim.UniformDelay(0.2), Seed: 7},
-			"reference":     &sim.ReferenceEngine{}, // no dense path: exercises the fold-down fallback
+			"event-unit":   &sim.EventEngine{Delay: sim.UnitDelay},
+			"event-random": &sim.EventEngine{Delay: sim.UniformDelay(0.2), Seed: 7, FIFO: true},
+			"reference":    &sim.ReferenceEngine{}, // no dense path: exercises the fold-down fallback
 		}
 	}
 	for gname, g := range testGraphs() {
@@ -41,8 +38,8 @@ func TestBuildCompiledDenseMatchesMap(t *testing.T) {
 		root := g.Nodes()[0]
 		for ename := range engines() {
 			t.Run(gname+"/"+ename, func(t *testing.T) {
-				// Fresh engine values per run so sharded scratch reuse and
-				// RNG seeding cannot couple the two paths.
+				// Fresh engine values per run so RNG seeding cannot couple
+				// the two paths.
 				want, wantRep, err := BuildCompiled(engines()[ename], c, NewFloodFactory(root))
 				if err != nil {
 					t.Fatal(err)
@@ -178,8 +175,7 @@ func TestExtractDenseRejects(t *testing.T) {
 // allocation per extra message — the hot loops are allocation-free, and
 // what remains is per-node or per-round bookkeeping. Reduction: the dense
 // path must allocate at least 10x less than the map path on the same
-// workload, which is the grid-1M acceptance ratio scaled down to test
-// size.
+// workload.
 func TestFloodDenseTrafficInvariantAllocs(t *testing.T) {
 	measure := func(sparse bool, dense bool) (float64, int64) {
 		m := 1800

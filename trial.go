@@ -28,7 +28,8 @@ type TrialSummary struct {
 	TotalWords     int64 `json:"total_words"`
 	MaxWords       int   `json:"max_message_words"`
 	CausalDepth    int64 `json:"causal_depth"`
-	Shards         int   `json:"shards"`
+	// Shards is always 1; the key stays so the JSON corpora keep their form.
+	Shards int `json:"shards"`
 }
 
 // NewTrialSummary condenses one pipeline result into the summary form.
