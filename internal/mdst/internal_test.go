@@ -158,25 +158,35 @@ func TestChildListMaintenance(t *testing.T) {
 
 func TestMessageWords(t *testing.T) {
 	// The bit-complexity accounting depends on these sizes; pin the encoded
-	// records (kind tag + payload words, derived by WireMsg.Words).
+	// records (kind tag + payload words, derived by WireMsg.Words). The
+	// constructors build WireMsg literals; rec is the sim.Msg record each
+	// one must equal, zero tail included, so checkpoint and trace bytes
+	// cannot drift.
 	cases := []struct {
 		m    sim.WireMsg
+		rec  sim.WireMsg
 		want int
 	}{
-		{newStart(1, false, Single), 4},
-		{newDeg(1, 3, 2), 4},
-		{newMove(1, 3, 2), 4},
-		{newCut(1, 3, 2), 4},
-		{newBFS(1, 3, 2, 4), 5},
-		{newCousin(1, 3, 2, 4), 5},
-		{newBFSBack(1, false, edgeReport{}, true), 3},
-		{newBFSBack(1, true, edgeReport{u: 1, v: 2, du: 3, dv: 4, vroot: 5}, true), 9},
-		{newUpdate(1, 2, 3, true), 5},
-		{newChild(1), 2},
-		{newRoundDone(1), 2},
-		{newTerm(1), 2},
+		{newStart(1, true, Multi), sim.Msg(opStart, 1, 1, int64(Multi)), 4},
+		{newStart(2, false, Single), sim.Msg(opStart, 2, 0, int64(Single)), 4},
+		{newDeg(1, 3, 2), sim.Msg(opDeg, 1, 3, 2), 4},
+		{newDeg(1, 3, noCand), sim.Msg(opDeg, 1, 3, int64(noCand)), 4},
+		{newMove(1, 3, 2), sim.Msg(opMove, 1, 3, 2), 4},
+		{newCut(1, 3, 2), sim.Msg(opCut, 1, 3, 2), 4},
+		{newBFS(1, 3, 2, 4), sim.Msg(opBFS, 1, 3, 2, 4), 5},
+		{newCousin(1, 3, 2, 4), sim.Msg(opCousin, 1, 3, 2, 4), 5},
+		{newBFSBack(1, false, edgeReport{}, true), sim.Msg(opBFSBack, 1, 1), 3},
+		{newBFSBack(1, true, edgeReport{u: 1, v: 2, du: 3, dv: 4, vroot: 5}, true), sim.Msg(opBFSBack, 1, 1, 1, 1, 2, 3, 4, 5), 9},
+		{newUpdate(1, 2, 3, true), sim.Msg(opUpdate, 1, 2, 3, 1), 5},
+		{newUpdate(1, 2, 3, false), sim.Msg(opUpdate, 1, 2, 3, 0), 5},
+		{newChild(1), sim.Msg(opChild, 1), 2},
+		{newRoundDone(1), sim.Msg(opRoundDone, 1), 2},
+		{newTerm(1), sim.Msg(opTerm, 1), 2},
 	}
 	for _, tc := range cases {
+		if tc.m != tc.rec {
+			t.Errorf("%s record = %+v, want %+v", tc.m.Kind(), tc.m, tc.rec)
+		}
 		if got := tc.m.Words(); got != tc.want {
 			t.Errorf("%s words = %d, want %d", tc.m.Kind(), got, tc.want)
 		}

@@ -16,9 +16,12 @@ import "mdegst/internal/sim"
 // words; our BFSBack aggregate is larger, see DESIGN.md deviation notes
 // and experiment E6). The typed structs below are a decode layer only:
 // each handler decodes its record at entry so the protocol logic reads as
-// before, and the constructors encode at the send boundary. No message
-// ever exists as a heap object: the former pooled-pointer scheme (and the
-// interface boxing before it) is gone entirely.
+// before, and the constructors encode at the send boundary. They build
+// their record as a WireMsg literal rather than through sim.Msg, whose
+// variadic copy defeats inlining, so a send builds the record in place as
+// its argument and the engine copies it once, into its delivery slot. No
+// message ever exists as a heap object: the former pooled-pointer scheme
+// (and the interface boxing before it) is gone entirely.
 
 // wire is the registered schema; opcode order is the declaration order.
 var wire = sim.Register("mdst",
@@ -63,7 +66,7 @@ type mStart struct {
 }
 
 func newStart(round int, clear bool, phase Mode) sim.WireMsg {
-	return sim.Msg(opStart, int64(round), sim.B2W(clear), int64(phase))
+	return sim.WireMsg{Op: opStart, Nw: 3, W: [sim.MaxPayloadWords]int64{int64(round), sim.B2W(clear), int64(phase)}}
 }
 
 func decStart(m sim.WireMsg) mStart {
@@ -80,7 +83,7 @@ type mDeg struct {
 }
 
 func newDeg(round, k int, cand sim.NodeID) sim.WireMsg {
-	return sim.Msg(opDeg, int64(round), int64(k), int64(cand))
+	return sim.WireMsg{Op: opDeg, Nw: 3, W: [sim.MaxPayloadWords]int64{int64(round), int64(k), int64(cand)}}
 }
 
 func decDeg(m sim.WireMsg) mDeg {
@@ -96,7 +99,7 @@ type mMove struct {
 }
 
 func newMove(round, k int, target sim.NodeID) sim.WireMsg {
-	return sim.Msg(opMove, int64(round), int64(k), int64(target))
+	return sim.WireMsg{Op: opMove, Nw: 3, W: [sim.MaxPayloadWords]int64{int64(round), int64(k), int64(target)}}
 }
 
 func decMove(m sim.WireMsg) mMove {
@@ -112,7 +115,7 @@ type mCut struct {
 }
 
 func newCut(round, k int, owner sim.NodeID) sim.WireMsg {
-	return sim.Msg(opCut, int64(round), int64(k), int64(owner))
+	return sim.WireMsg{Op: opCut, Nw: 3, W: [sim.MaxPayloadWords]int64{int64(round), int64(k), int64(owner)}}
 }
 
 func decCut(m sim.WireMsg) mCut {
@@ -128,7 +131,7 @@ type mBFS struct {
 }
 
 func newBFS(round, k int, owner, fragRoot sim.NodeID) sim.WireMsg {
-	return sim.Msg(opBFS, int64(round), int64(k), int64(owner), int64(fragRoot))
+	return sim.WireMsg{Op: opBFS, Nw: 4, W: [sim.MaxPayloadWords]int64{int64(round), int64(k), int64(owner), int64(fragRoot)}}
 }
 
 func decBFS(m sim.WireMsg) mBFS {
@@ -146,7 +149,7 @@ type mCousin struct {
 }
 
 func newCousin(round, deg int, owner, fragRoot sim.NodeID) sim.WireMsg {
-	return sim.Msg(opCousin, int64(round), int64(deg), int64(owner), int64(fragRoot))
+	return sim.WireMsg{Op: opCousin, Nw: 4, W: [sim.MaxPayloadWords]int64{int64(round), int64(deg), int64(owner), int64(fragRoot)}}
 }
 
 func decCousin(m sim.WireMsg) mCousin {
@@ -209,7 +212,7 @@ type mUpdate struct {
 }
 
 func newUpdate(round int, u, v sim.NodeID, first bool) sim.WireMsg {
-	return sim.Msg(opUpdate, int64(round), int64(u), int64(v), sim.B2W(first))
+	return sim.WireMsg{Op: opUpdate, Nw: 4, W: [sim.MaxPayloadWords]int64{int64(round), int64(u), int64(v), sim.B2W(first)}}
 }
 
 func decUpdate(m sim.WireMsg) mUpdate {
@@ -221,7 +224,9 @@ type mChild struct {
 	round int
 }
 
-func newChild(round int) sim.WireMsg { return sim.Msg(opChild, int64(round)) }
+func newChild(round int) sim.WireMsg {
+	return sim.WireMsg{Op: opChild, Nw: 1, W: [sim.MaxPayloadWords]int64{int64(round)}}
+}
 
 // mRoundDone notifies the waiting owner that its exchange completed ("a
 // round is terminated when a node received a child message"); the paper
@@ -231,7 +236,9 @@ type mRoundDone struct {
 	round int
 }
 
-func newRoundDone(round int) sim.WireMsg { return sim.Msg(opRoundDone, int64(round)) }
+func newRoundDone(round int) sim.WireMsg {
+	return sim.WireMsg{Op: opRoundDone, Nw: 1, W: [sim.MaxPayloadWords]int64{int64(round)}}
+}
 
 // mTerm is the final broadcast: the tree is locally optimal (or a chain);
 // every node learns termination by process.
@@ -239,7 +246,9 @@ type mTerm struct {
 	round int
 }
 
-func newTerm(round int) sim.WireMsg { return sim.Msg(opTerm, int64(round)) }
+func newTerm(round int) sim.WireMsg {
+	return sim.WireMsg{Op: opTerm, Nw: 1, W: [sim.MaxPayloadWords]int64{int64(round)}}
+}
 
 // edgeReport describes a recorded outgoing edge: u is the endpoint on the
 // recording (smaller fragment identity) side, v the far endpoint, du/dv

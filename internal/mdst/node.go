@@ -179,9 +179,10 @@ func (n *Node) Init(ctx sim.Context) {
 // node's round or before its fragment identity is known (the paper's
 // "the answer has to be delayed until x learns its fragment identity").
 // Messages are flat wire records: deferring one is a value copy, and a
-// processed one simply goes out of scope.
+// processed one simply goes out of scope. Inside the node the record
+// travels by pointer; only the decoders at the handler boundary read it.
 func (n *Node) Recv(ctx sim.Context, from sim.NodeID, m sim.WireMsg) {
-	if !n.process(ctx, from, m) {
+	if !n.process(ctx, from, &m) {
 		n.deferred = append(n.deferred, deferredMsg{from: from, msg: m})
 		return
 	}
@@ -192,8 +193,8 @@ func (n *Node) retryDeferred(ctx sim.Context) {
 	for progress := true; progress; {
 		progress = false
 		for i := 0; i < len(n.deferred); i++ {
-			d := n.deferred[i]
-			if n.process(ctx, d.from, d.msg) {
+			d := &n.deferred[i]
+			if n.process(ctx, d.from, &d.msg) {
 				n.deferred = append(n.deferred[:i], n.deferred[i+1:]...)
 				progress = true
 				i--
@@ -205,7 +206,7 @@ func (n *Node) retryDeferred(ctx sim.Context) {
 // process handles one message, returning false to defer it. The wire
 // record decodes to its typed view here, at the protocol boundary; the
 // handlers below work on the structs.
-func (n *Node) process(ctx sim.Context, from sim.NodeID, m sim.WireMsg) bool {
+func (n *Node) process(ctx sim.Context, from sim.NodeID, m *sim.WireMsg) bool {
 	if n.terminated {
 		panic(fmt.Sprintf("mdst: node %d received %s after termination", n.id, m.Kind()))
 	}
@@ -220,21 +221,21 @@ func (n *Node) process(ctx sim.Context, from sim.NodeID, m sim.WireMsg) bool {
 	}
 	switch m.Op {
 	case opStart:
-		n.onStart(ctx, from, decStart(m))
+		n.onStart(ctx, from, decStart(*m))
 	case opDeg:
-		n.onDeg(ctx, from, decDeg(m))
+		n.onDeg(ctx, from, decDeg(*m))
 	case opMove:
-		n.onMove(ctx, from, decMove(m))
+		n.onMove(ctx, from, decMove(*m))
 	case opCut:
-		n.onCut(ctx, from, decCut(m))
+		n.onCut(ctx, from, decCut(*m))
 	case opBFS:
-		return n.onBFS(ctx, from, decBFS(m))
+		return n.onBFS(ctx, from, decBFS(*m))
 	case opCousin:
-		n.onCousin(ctx, from, decCousin(m))
+		n.onCousin(ctx, from, decCousin(*m))
 	case opBFSBack:
-		n.onBFSBack(ctx, from, decBFSBack(m))
+		n.onBFSBack(ctx, from, decBFSBack(*m))
 	case opUpdate:
-		n.onUpdate(ctx, from, decUpdate(m))
+		n.onUpdate(ctx, from, decUpdate(*m))
 	case opChild:
 		n.onChild(ctx, from, mChild{round: round})
 	case opRoundDone:

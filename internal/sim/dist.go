@@ -124,6 +124,7 @@ type DistRunner struct {
 	out    [][]OutMsg // per destination process, refilled each phase
 	counts []RankCount
 	sent   []int64 // dense sender slab lent to the report's fast path
+	krRow  []int64 // (round, opcode) counter row lent to the report
 	report *Report
 }
 
@@ -142,6 +143,7 @@ type DistScratch struct {
 	out    [][]OutMsg
 	counts []RankCount
 	sent   []int64
+	krRow  []int64
 }
 
 // NewDistRunner builds the process's share of a run: protocol instances
@@ -200,15 +202,15 @@ func NewDistRunnerScratch(c *graph.CSR, owner []int32, nprocs, self int, f Facto
 			nbrDense:  c.Neighbors(v),
 		}
 	}
-	// Arm the report's dense sender slab: PlayRound records through the
-	// same memoised scalar + dense-slab path the round engine uses
-	// (recordFast), so the per-delivery map ops of record() never run.
-	// The folds at capture/merge points reconstruct identical maps.
+	// Arm the report's dense slabs: PlayRound records through the same
+	// counter-row + dense-slab path the round engine uses (recordFast), so
+	// the per-delivery map ops of record() never run. The folds at
+	// capture/merge points reconstruct identical maps.
 	r.sent = growCap(sc.sent, n)
-	for i := range r.sent {
-		r.sent[i] = 0
-	}
-	r.report.adoptDenseSent(r.sent, ids)
+	clear(r.sent)
+	r.krRow = growCap(sc.krRow, NumOps())
+	clear(r.krRow)
+	r.report.adoptDense(r.sent, r.krRow, ids)
 	return r
 }
 
@@ -233,17 +235,16 @@ func (r *DistRunner) Release(sc *DistScratch) {
 	sc.out = r.out
 	sc.counts = r.counts
 	sc.sent = r.sent
+	sc.krRow = r.krRow
 }
 
-// RearmFast re-arms the report's dense sender slab after a mid-run
-// counter capture folded and detached it (the periodic checkpoint
-// cadence): the folded counts live on in the SentBy map, so the slab
-// restarts at zero and accumulates only the deliveries since the commit.
+// RearmFast re-arms the report's dense slabs after a mid-run counter
+// capture folded and detached them (the periodic checkpoint cadence): the
+// folded counts live on in the SentBy and kindRound maps, so the slabs
+// restart at zero and accumulate only the deliveries since the commit.
 func (r *DistRunner) RearmFast() {
-	for i := range r.sent {
-		r.sent[i] = 0
-	}
-	r.report.adoptDenseSent(r.sent, r.ids)
+	clear(r.sent)
+	r.report.adoptDense(r.sent, r.krRow, r.ids)
 }
 
 // N returns the node count of the snapshot.
@@ -305,7 +306,8 @@ func (r *DistRunner) PlayInit() {
 // so the engine may alias it to reusable scratch.
 func (r *DistRunner) PlayRound(round int64, inbox []OutMsg) {
 	r.resetPhase()
-	for _, d := range inbox {
+	for i := range inbox {
+		d := &inbox[i]
 		li := r.local[d.To]
 		if li < 0 {
 			panic(fmt.Sprintf("sim: delivery for dense node %d not owned by process %d", d.To, r.self))
@@ -313,7 +315,7 @@ func (r *DistRunner) PlayRound(round int64, inbox []OutMsg) {
 		ctx := &r.ctxs[li]
 		ctx.rank = d.Parent
 		ctx.sends = 0
-		r.report.recordFast(d.From, d.Msg, round)
+		r.report.recordFast(d.From, &d.Msg, round)
 		r.protos[d.To].Recv(ctx, r.ids[d.From], d.Msg)
 		r.counts = append(r.counts, RankCount{Rank: d.Parent, Count: int64(ctx.sends)})
 	}

@@ -46,18 +46,22 @@ type Report struct {
 	kindRound map[kindRoundKey]int64
 	finalized bool
 
-	// The recordFast accumulators, armed by adoptDenseSent on the round
-	// engines' hot paths. sentDense counts sends by dense node index — one
-	// array increment per message instead of a map op on a 64-bit key —
-	// and (lastKey, lastCount) memoise the kindRound counter: deliveries
-	// of one round overwhelmingly share the (opcode, round) key, so the
-	// hot path bumps a scalar and touches the map only on key change.
-	// syncHot folds both into the public accumulators; finalize,
-	// MergeParallel and checkpoint capture all sync first.
+	// The recordFast accumulators, armed by adoptDense on the round
+	// engines' hot paths and lent by the engine's pooled scratch.
+	// sentDense counts sends by dense node index — one array increment per
+	// message instead of a map op on a 64-bit key. krRow counts the
+	// deliveries of algorithm round krRound by opcode, NumOps cells wide:
+	// one tick interleaves several opcodes, but the algorithm round changes
+	// rarely, so the hot path bumps a row cell and folds the row into
+	// kindRound only when the round changes — the map is touched about
+	// #opcodes × #rounds times per run, and the row never grows with the
+	// round count. syncHot folds both into the public accumulators and
+	// detaches them; finalize, MergeParallel and checkpoint capture all
+	// sync first.
 	sentDense []int64
 	sentIDs   []NodeID
-	lastKey   kindRoundKey
-	lastCount int64
+	krRow     []int64
+	krRound   int
 }
 
 // kindRoundKey is the allocation-free composite key of the hot-path
@@ -81,11 +85,12 @@ func NewReport() *Report {
 
 func newReport() *Report { return NewReport() }
 
-// record accounts one delivery. It is the per-message hot path: two map
-// increments on composite keys and a handful of scalar updates, no
+// record accounts one delivery: one map increment for the (opcode, round)
+// counter, one for the sender, and a handful of scalar updates, no
 // allocations, no interface dispatch — kind and round come straight off
-// the wire record. Engines must call finalize before handing the report
-// out.
+// the wire record. It is the accounting of the engines that do not arm the
+// dense path (ReferenceEngine, the calendar-queue and async engines).
+// Engines must call finalize before handing the report out.
 func (r *Report) record(from NodeID, m WireMsg, depth int64) {
 	r.Messages++
 	r.kindRound[kindRoundKey{m.Op, m.MsgRound()}]++
@@ -100,29 +105,27 @@ func (r *Report) record(from NodeID, m WireMsg, depth int64) {
 	r.SentBy[from]++
 }
 
-// adoptDenseSent arms the dense recordFast accumulators. slab must be
-// zeroed, sized len(ids), and remain owned by the caller (the engines
-// lend pooled scratch slabs); syncHot detaches it again, so a report that
-// escapes the run never pins pooled memory.
-func (r *Report) adoptDenseSent(slab []int64, ids []NodeID) {
-	r.sentDense = slab[:len(ids)]
+// adoptDense arms the dense recordFast accumulators. sent must be sized
+// len(ids) and row NumOps(); both must be zeroed and remain owned by the
+// caller (the engines lend pooled scratch slabs). syncHot detaches them
+// again, so a report that escapes the run never pins pooled memory.
+func (r *Report) adoptDense(sent, row []int64, ids []NodeID) {
+	r.sentDense = sent[:len(ids)]
 	r.sentIDs = ids
+	r.krRow = row[:NumOps()]
 }
 
 // recordFast accounts one delivery with the map ops taken off the
-// per-message path: the scalar counters, the memoised (opcode, round)
-// counter, and sender accounting by dense index into the adopted slab.
-// Callers must have armed adoptDenseSent.
-func (r *Report) recordFast(fromDense int32, m WireMsg, depth int64) {
+// per-message path: the scalar counters, the (round, opcode) counter row,
+// and sender accounting by dense index into the adopted slab. Callers must
+// have armed adoptDense.
+func (r *Report) recordFast(fromDense int32, m *WireMsg, depth int64) {
 	r.Messages++
-	if k := (kindRoundKey{m.Op, m.MsgRound()}); k == r.lastKey && r.lastCount > 0 {
-		r.lastCount++
-	} else {
-		if r.lastCount > 0 {
-			r.kindRound[r.lastKey] += r.lastCount
-		}
-		r.lastKey, r.lastCount = k, 1
+	if round := m.MsgRound(); round != r.krRound {
+		r.foldRow()
+		r.krRound = round
 	}
+	r.krRow[m.Op]++
 	w := m.Words()
 	r.Words += int64(w)
 	if w > r.MaxWords {
@@ -134,33 +137,29 @@ func (r *Report) recordFast(fromDense int32, m WireMsg, depth int64) {
 	r.sentDense[fromDense]++
 }
 
-// syncMemo flushes the kindRound memo into the map.
-func (r *Report) syncMemo() {
-	if r.lastCount > 0 {
-		r.kindRound[r.lastKey] += r.lastCount
-		r.lastKey, r.lastCount = kindRoundKey{}, 0
+// foldRow adds the row's non-zero cells to kindRound under round krRound
+// and zeroes them.
+func (r *Report) foldRow() {
+	for op, v := range r.krRow {
+		if v != 0 {
+			r.kindRound[kindRoundKey{Op(op), r.krRound}] += v
+			r.krRow[op] = 0
+		}
 	}
 }
 
-// foldDense folds the dense send counts into the public SentBy map and
-// detaches the borrowed slab.
-func (r *Report) foldDense() {
-	if r.sentDense == nil {
-		return
-	}
+// syncHot folds every recordFast accumulator into the map-backed state,
+// making kindRound and SentBy authoritative again, and detaches the
+// borrowed slabs: afterwards every hot-path field is back at its zero
+// value, so a synced report compares equal to one that never armed them.
+func (r *Report) syncHot() {
+	r.foldRow()
 	for i, v := range r.sentDense {
 		if v != 0 {
 			r.SentBy[r.sentIDs[i]] += v
 		}
 	}
-	r.sentDense, r.sentIDs = nil, nil
-}
-
-// syncHot folds every recordFast accumulator into the map-backed state,
-// making kindRound and SentBy authoritative again.
-func (r *Report) syncHot() {
-	r.syncMemo()
-	r.foldDense()
+	r.sentDense, r.sentIDs, r.krRow, r.krRound = nil, nil, nil, 0
 }
 
 // finalize materialises the public breakdown maps from the hot-path

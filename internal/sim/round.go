@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"time"
 
@@ -70,8 +71,16 @@ func (c *roundCtx) Send(to NodeID, m WireMsg) {
 	if ni < 0 {
 		panic(fmt.Sprintf("sim: node %d sent to non-neighbour %d", c.id, to))
 	}
+	// Grow by one slot and fill it in place: the record is copied once,
+	// from m into the slab, instead of through a temporary roundDelivery.
 	r := c.run
-	r.next = append(r.next, roundDelivery{from: c.id, fromDense: c.dense, toDense: c.nbrDense[ni], msg: m})
+	if len(r.next) == cap(r.next) {
+		r.next = slices.Grow(r.next, 1)
+	}
+	r.next = r.next[:len(r.next)+1]
+	d := &r.next[len(r.next)-1]
+	d.from, d.fromDense, d.toDense = c.id, c.dense, c.nbrDense[ni]
+	d.msg = m
 }
 
 func (c *roundCtx) Logf(format string, args ...any) {
@@ -88,6 +97,7 @@ type roundScratch struct {
 	protos    []Protocol
 	cur, next []roundDelivery
 	sent      []int64 // dense send counters lent to the report
+	krRow     []int64 // (round, opcode) counter row lent to the report
 }
 
 var roundPool = sync.Pool{New: func() any { return new(roundScratch) }}
@@ -106,6 +116,8 @@ func (s *roundScratch) reset(n int) {
 	}
 	s.sent = s.sent[:n]
 	clear(s.sent)
+	s.krRow = growCap(s.krRow, NumOps())
+	clear(s.krRow)
 	s.cur, s.next = s.cur[:0], s.next[:0]
 }
 
@@ -140,7 +152,7 @@ func (e *EventEngine) runRoundsFrom(c *graph.CSR, f Factory, maxMsgs int64, star
 	defer scratch.release()
 	scratch.reset(n)
 	rr.cur, rr.next = scratch.cur, scratch.next
-	rr.report.adoptDenseSent(scratch.sent, ids)
+	rr.report.adoptDense(scratch.sent, scratch.krRow, ids)
 
 	for i := 0; i < n; i++ {
 		di := int32(i)
@@ -182,11 +194,11 @@ func (e *EventEngine) runRoundsFrom(c *graph.CSR, f Factory, maxMsgs int64, star
 		rr.round++
 		t := float64(rr.round)
 		for i := range rr.cur {
-			d := rr.cur[i]
+			d := &rr.cur[i]
 			if rr.report.Messages >= maxMsgs {
 				return nil, nil, &BudgetError{Limit: maxMsgs, Sent: rr.report.Messages}
 			}
-			rr.report.recordFast(d.fromDense, d.msg, rr.round)
+			rr.report.recordFast(d.fromDense, &d.msg, rr.round)
 			if rr.trace != nil {
 				rr.trace(TraceEvent{Time: t, Depth: rr.round, From: d.from, To: ids[d.toDense], Msg: d.msg})
 			}
@@ -202,11 +214,12 @@ func (e *EventEngine) runRoundsFrom(c *graph.CSR, f Factory, maxMsgs int64, star
 					if err := e.commitRoundCheckpoint(rr, scratch.protos, c); err != nil {
 						return nil, nil, err
 					}
-					// The capture folded the dense send counts into the
-					// report's map and detached the slab; re-arm it zeroed so
-					// recordFast keeps accumulating the delta on top.
+					// The capture folded the dense counters into the
+					// report's maps and detached the slabs (zeroing the
+					// row); re-arm them zeroed so recordFast keeps
+					// accumulating the delta on top.
 					clear(scratch.sent)
-					rr.report.adoptDenseSent(scratch.sent, ids)
+					rr.report.adoptDense(scratch.sent, scratch.krRow, ids)
 				}
 			} else if rr.round == spec.Round {
 				return nil, nil, e.writeRoundCheckpoint(rr, scratch.protos, c)
