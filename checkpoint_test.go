@@ -90,7 +90,7 @@ func TestMDSTCheckpointResumeEveryBarrier(t *testing.T) {
 			}
 			var resumeTrace []sim.TraceEvent
 			reng := checkpointTraceEngine(nil, func(e sim.TraceEvent) { resumeTrace = append(resumeTrace, e) })
-			if _, _, err := reng.ResumeSnapshot(c, improveFactory(mode, t0), ck); err != nil {
+			if _, _, err := reng.Resume(c, improveFactory(mode, t0), ck); err != nil {
 				t.Fatal(err)
 			}
 			whole := append(append([]sim.TraceEvent{}, prefix...), resumeTrace...)
@@ -117,22 +117,22 @@ func TestFloodCheckpointResume(t *testing.T) {
 	for r := int64(0); r <= finalRound; r++ {
 		var buf bytes.Buffer
 		eng := &sim.EventEngine{Delay: sim.UnitDelay, FIFO: true, Checkpoint: &sim.CheckpointSpec{Round: r, W: &buf}}
-		if _, _, err := eng.RunSnapshot(c, factory); !errors.Is(err, sim.ErrCheckpointed) {
+		if _, _, err := eng.Run(c, factory); !errors.Is(err, sim.ErrCheckpointed) {
 			t.Fatalf("barrier %d: %v, want ErrCheckpointed", r, err)
 		}
 		ck, err := sim.ReadCheckpoint(bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			t.Fatalf("barrier %d: %v", r, err)
 		}
-		protos, rep, err := (&sim.EventEngine{Delay: sim.UnitDelay, FIFO: true}).ResumeSnapshot(c, factory, ck)
+		protos, rep, err := (&sim.EventEngine{Delay: sim.UnitDelay, FIFO: true}).Resume(c, factory, ck)
 		if err != nil {
 			t.Fatalf("barrier %d: %v", r, err)
 		}
-		tr, err := spanning.Extract(g, protos)
+		d, err := spanning.ExtractDense(c, protos)
 		if err != nil {
 			t.Fatalf("barrier %d: %v", r, err)
 		}
-		if !tr.Equal(fullT) {
+		if !d.ToTree().Equal(fullT) {
 			t.Fatalf("barrier %d: tree differs", r)
 		}
 		assertSameReport(t, fmt.Sprintf("flood barrier %d", r), rep, fullRep)

@@ -167,22 +167,19 @@ type Result struct {
 	Report *sim.Report
 }
 
-// Run broadcasts over cfg.Tree on the engine and gathers the result.
-func Run(eng sim.Engine, g *graph.Graph, cfg Config) (*Result, error) {
-	return RunCompiled(eng, g.Compile(), cfg)
-}
-
-// RunCompiled is Run over a pre-compiled snapshot shared across runs.
+// RunCompiled broadcasts over cfg.Tree on the engine, over a pre-compiled
+// snapshot shared across runs, and gathers the result.
 func RunCompiled(eng sim.Engine, c *graph.CSR, cfg Config) (*Result, error) {
 	if err := cfg.Tree.Validate(c.Source()); err != nil {
 		return nil, fmt.Errorf("apps: tree invalid: %w", err)
 	}
-	protos, rep, err := sim.RunCompiled(eng, c, NewFactory(cfg))
+	protos, rep, err := eng.Run(c, NewFactory(cfg))
 	if err != nil {
 		return nil, err
 	}
 	res := &Result{Report: rep, MaxLoad: rep.MaxSentByNode()}
-	for id, p := range protos {
+	for i, p := range protos {
+		id := c.Index().ID(int32(i))
 		b, ok := p.(*BroadcastNode)
 		if !ok {
 			return nil, fmt.Errorf("apps: node %d runs %T", id, p)

@@ -222,12 +222,14 @@ func RunSync(eng sim.Engine, g *graph.Graph, cfg SyncConfig) (*SyncResult, error
 	if cfg.NewMachine == nil {
 		return nil, fmt.Errorf("apps: sync needs a machine constructor")
 	}
-	protos, rep, err := eng.Run(g, newSyncFactory(cfg))
+	c := g.Compile()
+	protos, rep, err := eng.Run(c, newSyncFactory(cfg))
 	if err != nil {
 		return nil, err
 	}
 	res := &SyncResult{Machines: make(map[sim.NodeID]Machine, len(protos)), Report: rep}
-	for id, p := range protos {
+	for i, p := range protos {
+		id := c.Index().ID(int32(i))
 		sn, ok := p.(*syncNode)
 		if !ok {
 			return nil, fmt.Errorf("apps: node %d runs %T", id, p)

@@ -115,11 +115,10 @@ func (c *CSR) Index() *Index { return c.idx }
 // Source returns the builder Graph this snapshot was compiled from.
 //
 // The snapshot's own arrays never change, but snapshot-based execution
-// paths still read the source: tree validation/extraction work against the
-// builder, and sim.RunCompiled falls back to it for engines without a
-// dense fast path. Treat the builder as frozen while a snapshot of it is
-// in use — after a structural mutation, Compile again instead of reusing
-// the stale snapshot.
+// paths still read the source: tree validation works against the builder.
+// Treat the builder as frozen while a snapshot of it is in use — after a
+// structural mutation, Compile again instead of reusing the stale
+// snapshot.
 func (c *CSR) Source() *Graph { return c.src }
 
 // Degree returns the degree of dense node i.

@@ -23,6 +23,7 @@ import (
 
 	"mdegst/internal/graph"
 	"mdegst/internal/sim"
+	"mdegst/internal/spanning"
 	"mdegst/internal/tree"
 )
 
@@ -82,11 +83,11 @@ func RunTargetSnapshot(eng sim.Engine, c *graph.CSR, initial *tree.Tree, mode Mo
 	if err := initial.Validate(g); err != nil {
 		return nil, fmt.Errorf("mdst: initial tree invalid: %w", err)
 	}
-	protos, rep, err := sim.RunCompiled(eng, c, FactoryFromTree(mode, target, initial))
+	protos, rep, err := eng.Run(c, FactoryFromTree(mode, target, initial))
 	if err != nil {
 		return nil, err
 	}
-	return Extract(g, initial, protos, rep)
+	return extract(c, initial, protos, rep)
 }
 
 // ResumeTargetSnapshot continues a checkpointed improvement run: the
@@ -99,54 +100,50 @@ func ResumeTargetSnapshot(eng sim.ResumableEngine, c *graph.CSR, initial *tree.T
 	if err := initial.Validate(g); err != nil {
 		return nil, fmt.Errorf("mdst: initial tree invalid: %w", err)
 	}
-	protos, rep, err := eng.ResumeSnapshot(c, FactoryFromTree(mode, target, initial), ck)
+	protos, rep, err := eng.Resume(c, FactoryFromTree(mode, target, initial), ck)
 	if err != nil {
 		return nil, err
 	}
-	return Extract(g, initial, protos, rep)
+	return extract(c, initial, protos, rep)
 }
 
-// Extract assembles a Result from final protocol states.
+// Extract assembles a Result from final protocol states keyed by node
+// identity, as sim.RunCompiled returns them: the map-facing adapter that
+// folds the map into the dense extraction.
 func Extract(g *graph.Graph, initial *tree.Tree, protos map[sim.NodeID]sim.Protocol, rep *sim.Report) (*Result, error) {
-	var root sim.NodeID
-	roots := 0
-	parent := make(map[graph.NodeID]graph.NodeID, len(protos))
-	rounds, swaps := 0, 0
+	c := g.Compile()
+	dense := make([]sim.Protocol, c.N())
 	for id, p := range protos {
+		i, ok := c.Index().Of(id)
+		if !ok {
+			return nil, fmt.Errorf("mdst: state for node %d, not in the graph", id)
+		}
+		dense[i] = p
+	}
+	return extract(c, initial, dense, rep)
+}
+
+// extract assembles a Result from final protocol states as sim.Engine.Run
+// returns them (protos[i] belongs to c.Index().ID(i)). Every state must be
+// an mdst node; spanning.ExtractDense reads and checks the tree they hold.
+func extract(c *graph.CSR, initial *tree.Tree, protos []sim.Protocol, rep *sim.Report) (*Result, error) {
+	rounds, swaps := 0, 0
+	for i, p := range protos {
 		node, ok := p.(*Node)
 		if !ok {
-			return nil, fmt.Errorf("mdst: node %d runs %T, not the mdst protocol", id, p)
+			return nil, fmt.Errorf("mdst: node %d runs %T, not the mdst protocol", c.Index().ID(int32(i)), p)
 		}
-		if !node.Finished() {
-			return nil, fmt.Errorf("mdst: node %d did not learn termination", id)
-		}
-		par, _, isRoot := node.TreeInfo()
-		if isRoot {
-			root = id
-			roots++
-			parent[id] = id
-		} else {
-			parent[id] = par
-		}
-		if node.Round() > rounds {
-			rounds = node.Round()
-		}
+		rounds = max(rounds, node.Round())
 		swaps += node.Swaps()
 	}
-	if roots != 1 {
-		return nil, fmt.Errorf("mdst: %d roots, want exactly 1", roots)
-	}
-	t, err := tree.FromParentMap(root, parent)
+	d, err := spanning.ExtractDense(c, protos)
 	if err != nil {
-		return nil, err
-	}
-	if err := t.Validate(g); err != nil {
 		return nil, fmt.Errorf("mdst: final tree invalid: %w", err)
 	}
 	initDeg, _ := initial.MaxDegree()
-	finalDeg, _ := t.MaxDegree()
+	finalDeg, _ := d.MaxDegree(nil)
 	return &Result{
-		Tree:          t,
+		Tree:          d.ToTree(),
 		Report:        rep,
 		Rounds:        rounds,
 		Swaps:         swaps,

@@ -188,7 +188,7 @@ func TestDistSteadyStateAllocBudget(t *testing.T) {
 				m := newAllocMesh(t, c, k)
 				run := func() {
 					m.each(t, nil, func(eng *DistEngine) error {
-						_, _, err := eng.RunSnapshot(c, allocTokenFactory(hops))
+						_, _, err := eng.Run(c, allocTokenFactory(hops))
 						return err
 					})
 				}
@@ -204,7 +204,7 @@ func TestDistSteadyStateAllocBudget(t *testing.T) {
 }
 
 // TestDistResumeSteadyStateAllocBudget is the resume-path variant: a run
-// frozen at a round barrier and resumed through ResumeSnapshot must also
+// frozen at a round barrier and resumed through Resume must also
 // hold per-round allocations flat — the checkpoint reseeding is a one-off
 // cost per run, and the rounds replayed after it ride the same arenas.
 func TestDistResumeSteadyStateAllocBudget(t *testing.T) {
@@ -224,7 +224,7 @@ func TestDistResumeSteadyStateAllocBudget(t *testing.T) {
 			}
 		}
 		m.each(t, []error{sim.ErrCheckpointed}, func(eng *DistEngine) error {
-			_, _, err := eng.RunSnapshot(c, allocTokenFactory(hops))
+			_, _, err := eng.Run(c, allocTokenFactory(hops))
 			return err
 		})
 		ck, err := sim.ReadCheckpoint(&buf)
@@ -236,7 +236,7 @@ func TestDistResumeSteadyStateAllocBudget(t *testing.T) {
 		}
 		run := func() {
 			m.each(t, nil, func(eng *DistEngine) error {
-				_, _, err := eng.ResumeSnapshot(c, allocTokenFactory(hops), ck)
+				_, _, err := eng.Resume(c, allocTokenFactory(hops), ck)
 				return err
 			})
 		}

@@ -16,8 +16,9 @@ import (
 // (DESIGN.md §13) — deliveries keyed (parent rank, send position), rank
 // offsets from a prefix sum over broadcast send counts — so the
 // distributed run is tree-, report- and checkpoint-byte-equivalent to the
-// in-process engines. DistEngine is a drop-in sim.SnapshotEngine: the
-// spanning and mdst pipelines run on it unchanged.
+// in-process engines. DistEngine is a sim.ResumableEngine like the
+// in-process unit-delay engine: the spanning and mdst pipelines run on it
+// unchanged.
 //
 // One barrier exchange per round, per peer: a single round frame carrying
 // the sender's (rank, count) pairs and the delivery batch destined to that
@@ -126,53 +127,29 @@ func (s *roundScratch) grownInbox(n int) []sim.OutMsg {
 	return s.inbox[:n]
 }
 
-// Run compiles g and executes the protocol (see RunSnapshot).
-func (e *DistEngine) Run(g *graph.Graph, f sim.Factory) (map[sim.NodeID]sim.Protocol, *sim.Report, error) {
-	return e.RunSnapshot(g.Compile(), f)
+// Run executes the protocol to quiescence across the mesh and returns every
+// node's final state dense-indexed (see sim.Engine). The final all-gather
+// fills the runner's state slice on every process; Run hands back a copy,
+// because the engine recycles that slice for its next run.
+func (e *DistEngine) Run(c *graph.CSR, f sim.Factory) ([]sim.Protocol, *sim.Report, error) {
+	return e.run(c, f, nil)
 }
 
-// RunSnapshot executes the protocol to quiescence across the mesh.
-func (e *DistEngine) RunSnapshot(c *graph.CSR, f sim.Factory) (map[sim.NodeID]sim.Protocol, *sim.Report, error) {
-	r, rep, err := e.run(c, f, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	return r.FinalProtos(), rep, nil
-}
-
-// RunSnapshotDense is RunSnapshot returning the final protocol instances
-// dense-indexed (sim.DenseSnapshotEngine): the runner already addresses
-// every node's state densely and the final all-gather writes peer states
-// into that same slice, so the dense result skips the identity-keyed map —
-// on a large workload the single biggest allocation of a quiesced
-// distributed run.
-func (e *DistEngine) RunSnapshotDense(c *graph.CSR, f sim.Factory) ([]sim.Protocol, *sim.Report, error) {
-	r, rep, err := e.run(c, f, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	return r.Protos(), rep, nil
-}
-
-// ResumeSnapshot continues a checkpointed run: every process decodes the
-// full frozen state plane from ck (each process reads the checkpoint file
+// Resume continues a checkpointed run: every process decodes the full
+// frozen state plane from ck (each process reads the checkpoint file
 // itself — there is no state redistribution), takes over the pending
 // deliveries it owns, and the run proceeds exactly as if never stopped.
-func (e *DistEngine) ResumeSnapshot(c *graph.CSR, f sim.Factory, ck *sim.Checkpoint) (map[sim.NodeID]sim.Protocol, *sim.Report, error) {
+func (e *DistEngine) Resume(c *graph.CSR, f sim.Factory, ck *sim.Checkpoint) ([]sim.Protocol, *sim.Report, error) {
 	if ck == nil {
 		return nil, nil, &sim.CheckpointError{Reason: "nil checkpoint"}
 	}
-	r, rep, err := e.run(c, f, ck)
-	if err != nil {
-		return nil, nil, err
-	}
-	return r.FinalProtos(), rep, nil
+	return e.run(c, f, ck)
 }
 
-func (e *DistEngine) run(c *graph.CSR, f sim.Factory, ck *sim.Checkpoint) (r *sim.DistRunner, rep *sim.Report, err error) {
+func (e *DistEngine) run(c *graph.CSR, f sim.Factory, ck *sim.Checkpoint) (protos []sim.Protocol, rep *sim.Report, err error) {
 	defer func() {
 		if p := recover(); p != nil {
-			r, rep = nil, nil
+			protos, rep = nil, nil
 			err = fmt.Errorf("sim: protocol panic: %v", p)
 		}
 	}()
@@ -187,10 +164,9 @@ func (e *DistEngine) run(c *graph.CSR, f sim.Factory, ck *sim.Checkpoint) (r *si
 	}
 	e.seq++
 	seq := e.seq
-	r = sim.NewDistRunnerScratch(c, e.Owner, t.Procs(), t.Self(), f, &e.sc.runner)
-	// Harvest the runner's slabs for the next run once this one ends
-	// (bound to the runner now, so the recover path's r=nil cannot skip
-	// it). Results returned to the caller stay valid until that next run.
+	r := sim.NewDistRunnerScratch(c, e.Owner, t.Procs(), t.Self(), f, &e.sc.runner)
+	// Harvest the runner's slabs for the next run once this one ends. The
+	// next run refills the state slice, so the result is a copy of it.
 	defer r.Release(&e.sc.runner)
 
 	var (
@@ -299,7 +275,10 @@ func (e *DistEngine) run(c *graph.CSR, f sim.Factory, ck *sim.Checkpoint) (r *si
 		}
 	}
 	rep, err = e.finish(r, c, seq, round, start)
-	return r, rep, err
+	if err != nil {
+		return nil, nil, err
+	}
+	return append([]sim.Protocol(nil), r.Protos()...), rep, nil
 }
 
 // decorateBarrier stamps a liveness failure with the last barrier the
@@ -742,5 +721,4 @@ func mergeByKey(streams [][]sim.OutMsg) []sim.OutMsg {
 	}
 }
 
-var _ sim.SnapshotEngine = (*DistEngine)(nil)
 var _ sim.ResumableEngine = (*DistEngine)(nil)

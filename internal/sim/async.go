@@ -119,13 +119,8 @@ func (c *asyncCtx) Send(to NodeID, m WireMsg) {
 
 func (c *asyncCtx) Logf(string, ...any) {}
 
-// Run compiles g and executes the protocol over the snapshot.
-func (e *AsyncEngine) Run(g *graph.Graph, f Factory) (map[NodeID]Protocol, *Report, error) {
-	return e.RunSnapshot(g.Compile(), f)
-}
-
-// RunSnapshot executes the protocol to quiescence using real goroutines.
-func (e *AsyncEngine) RunSnapshot(c *graph.CSR, f Factory) (map[NodeID]Protocol, *Report, error) {
+// Run executes the protocol to quiescence using real goroutines.
+func (e *AsyncEngine) Run(c *graph.CSR, f Factory) ([]Protocol, *Report, error) {
 	start := time.Now()
 	n := c.N()
 	ids := c.Index().IDs()
@@ -232,11 +227,7 @@ func (e *AsyncEngine) RunSnapshot(c *graph.CSR, f Factory) (map[NodeID]Protocol,
 	}
 	run.report.finalize()
 	run.report.Wall = time.Since(start)
-	protos := make(map[NodeID]Protocol, n)
-	for i, p := range plist {
-		protos[ids[i]] = p
-	}
-	return protos, run.report, nil
+	return plist, run.report, nil
 }
 
-var _ SnapshotEngine = (*AsyncEngine)(nil)
+var _ Engine = (*AsyncEngine)(nil)

@@ -24,11 +24,11 @@ func (n *tokenNode) DecodeState(d *StateDecoder) error {
 }
 
 // runTraced executes the factory on eng collecting the trace.
-func runTraced(t *testing.T, mkEng func(trace func(TraceEvent)) Engine, c *graph.CSR, f Factory) (map[NodeID]Protocol, *Report, []TraceEvent) {
+func runTraced(t *testing.T, mkEng func(trace func(TraceEvent)) Engine, c *graph.CSR, f Factory) ([]Protocol, *Report, []TraceEvent) {
 	t.Helper()
 	var events []TraceEvent
 	eng := mkEng(func(e TraceEvent) { events = append(events, e) })
-	protos, rep, err := RunCompiled(eng, c, f)
+	protos, rep, err := eng.Run(c, f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestCheckpointResumeEveryBarrier(t *testing.T) {
 			for _, res := range resumers {
 				var resumeTrace []TraceEvent
 				reng := res.mk(func(e TraceEvent) { resumeTrace = append(resumeTrace, e) })
-				protos, rep, err := reng.ResumeSnapshot(c, factory, ck)
+				protos, rep, err := reng.Resume(c, factory, ck)
 				if err != nil {
 					t.Fatalf("%s r=%d resume on %s: %v", ckEng.name, r, res.name, err)
 				}
@@ -98,9 +98,9 @@ func TestCheckpointResumeEveryBarrier(t *testing.T) {
 						ckEng.name, r, res.name, len(prefix), len(resumeTrace), len(fullTrace))
 				}
 				assertReportsEqual(t, fmt.Sprintf("%s r=%d on %s", ckEng.name, r, res.name), rep, fullRep)
-				for id, p := range protos {
-					if p.(*tokenNode).seen != fullProtos[id].(*tokenNode).seen {
-						t.Fatalf("%s r=%d resume on %s: node %d state diverged", ckEng.name, r, res.name, id)
+				for i, p := range protos {
+					if p.(*tokenNode).seen != fullProtos[i].(*tokenNode).seen {
+						t.Fatalf("%s r=%d resume on %s: node %d state diverged", ckEng.name, r, res.name, c.Index().ID(int32(i)))
 					}
 				}
 			}
@@ -165,14 +165,14 @@ func TestCheckpointErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	other := graph.Gnm(13, 30, 2).Compile()
-	if _, _, err := (&EventEngine{Delay: UnitDelay, FIFO: true}).ResumeSnapshot(other, tokenFactory(10), ck); !errors.As(err, &ce) {
+	if _, _, err := (&EventEngine{Delay: UnitDelay, FIFO: true}).Resume(other, tokenFactory(10), ck); !errors.As(err, &ce) {
 		t.Errorf("mismatched snapshot: %v", err)
 	}
 
 	// Protocols without StateCodec cannot checkpoint.
 	buf.Reset()
 	eng = &EventEngine{Delay: UnitDelay, Checkpoint: &CheckpointSpec{Round: 1, W: &buf}}
-	if _, _, err := eng.Run(graph.Ring(4), func(NodeID, []NodeID) Protocol { return chainReaction{} }); !errors.As(err, &ce) {
+	if _, _, err := eng.Run(graph.Ring(4).Compile(), func(NodeID, []NodeID) Protocol { return chainReaction{} }); !errors.As(err, &ce) {
 		t.Errorf("no StateCodec: %v", err)
 	}
 

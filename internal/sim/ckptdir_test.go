@@ -103,8 +103,7 @@ func TestPeriodicResumeEquivalence(t *testing.T) {
 	const every = int64(2)
 
 	full := &memSink{}
-	fullProtos, fullRep, err := RunCompiled(
-		&EventEngine{Delay: UnitDelay, FIFO: true, Checkpoint: &CheckpointSpec{Every: every, Sink: full}}, c, factory)
+	fullProtos, fullRep, err := (&EventEngine{Delay: UnitDelay, FIFO: true, Checkpoint: &CheckpointSpec{Every: every, Sink: full}}).Run(c, factory)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,14 +118,14 @@ func TestPeriodicResumeEquivalence(t *testing.T) {
 		}
 		rest := &memSink{}
 		eng := &EventEngine{Delay: UnitDelay, FIFO: true, Checkpoint: &CheckpointSpec{Every: every, Sink: rest}}
-		protos, rep, err := eng.ResumeSnapshot(c, factory, ck)
+		protos, rep, err := eng.Resume(c, factory, ck)
 		if err != nil {
 			t.Fatalf("resume from r=%d: %v", from, err)
 		}
 		assertReportsEqual(t, fmt.Sprintf("resume from r=%d", from), rep, fullRep)
-		for id, p := range protos {
-			if p.(*tokenNode).seen != fullProtos[id].(*tokenNode).seen {
-				t.Fatalf("resume from r=%d: node %d state diverged", from, id)
+		for i, p := range protos {
+			if p.(*tokenNode).seen != fullProtos[i].(*tokenNode).seen {
+				t.Fatalf("resume from r=%d: node %d state diverged", from, c.Index().ID(int32(i)))
 			}
 		}
 		for _, r := range rest.order {

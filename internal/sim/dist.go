@@ -224,9 +224,9 @@ func growCap[T any](s []T, n int) []T {
 }
 
 // Release hands the runner's slabs back to sc for the engine's next run.
-// The protocol slice is harvested too: results that alias it (Protos)
-// stay intact until the next run constructs a runner from sc, which is
-// exactly the validity window the dense snapshot contract gives them.
+// The protocol slice is harvested too, so the next runner built from sc
+// overwrites it: an engine copies Protos out before handing final states
+// to its caller.
 func (r *DistRunner) Release(sc *DistScratch) {
 	sc.protos = r.protos
 	sc.local = r.local
@@ -265,15 +265,6 @@ func (r *DistRunner) Report() *Report { return r.report }
 // live state; the rest are factory-fresh until final states are decoded
 // into them. Shared; do not modify.
 func (r *DistRunner) Protos() []Protocol { return r.protos }
-
-// FinalProtos returns the NodeID-keyed protocol map engines hand back.
-func (r *DistRunner) FinalProtos() map[NodeID]Protocol {
-	m := make(map[NodeID]Protocol, len(r.protos))
-	for v, p := range r.protos {
-		m[r.ids[v]] = p
-	}
-	return m
-}
 
 func (r *DistRunner) resetPhase() {
 	for d := range r.out {

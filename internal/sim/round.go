@@ -133,7 +133,7 @@ func (s *roundScratch) release() {
 }
 
 // runRounds executes the protocol to quiescence in synchronous rounds.
-// Called from EventEngine.RunSnapshot (which owns panic recovery) when the
+// Called from EventEngine.Run (which owns panic recovery) when the
 // delay model is UnitDelay.
 func (e *EventEngine) runRounds(c *graph.CSR, f Factory, maxMsgs int64, start time.Time) ([]Protocol, *Report, error) {
 	return e.runRoundsFrom(c, f, maxMsgs, start, nil)

@@ -46,7 +46,7 @@ func TestRoundEngineMatchesWheel(t *testing.T) {
 				eng := &EventEngine{Delay: d, FIFO: true, Trace: func(ev TraceEvent) {
 					steps = append(steps, step{ev.Time, ev.Depth, ev.From, ev.To, ev.Msg.Kind()})
 				}}
-				if _, _, err := eng.Run(g, tokenFactory(50)); err != nil {
+				if _, _, err := eng.Run(g.Compile(), tokenFactory(50)); err != nil {
 					t.Fatal(err)
 				}
 				return steps
@@ -66,7 +66,7 @@ func TestRoundEngineMatchesWheel(t *testing.T) {
 // and the per-run reports are properly isolated.
 func TestRoundEngineConcurrent(t *testing.T) {
 	c := graph.Gnm(64, 192, 3).Compile()
-	_, want, err := (&EventEngine{}).RunSnapshot(c, tokenFactory(60))
+	_, want, err := (&EventEngine{}).Run(c, tokenFactory(60))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestRoundEngineConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 10; i++ {
-				_, rep, err := (&EventEngine{}).RunSnapshot(c, tokenFactory(60))
+				_, rep, err := (&EventEngine{}).Run(c, tokenFactory(60))
 				if err != nil {
 					errs <- err
 					return
@@ -112,7 +112,7 @@ func TestRoundEngineLivelockGuard(t *testing.T) {
 		{"reference", &ReferenceEngine{MaxMessages: 500}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			_, _, err := tc.eng.Run(g, f)
+			_, _, err := tc.eng.Run(g.Compile(), f)
 			var be *BudgetError
 			if !errors.As(err, &be) {
 				t.Fatalf("err = %v, want *BudgetError", err)

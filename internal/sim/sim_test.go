@@ -77,7 +77,7 @@ func TestTokenRing(t *testing.T) {
 	g := graph.Ring(n)
 	for name, eng := range engines() {
 		t.Run(name, func(t *testing.T) {
-			protos, rep, err := eng.Run(g, tokenFactory(hops))
+			protos, rep, err := eng.Run(g.Compile(), tokenFactory(hops))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -110,7 +110,7 @@ func TestTokenRing(t *testing.T) {
 func TestUnitDelayVirtualTime(t *testing.T) {
 	g := graph.Ring(8)
 	eng := &EventEngine{Delay: UnitDelay}
-	_, rep, err := eng.Run(g, tokenFactory(20))
+	_, rep, err := eng.Run(g.Compile(), tokenFactory(20))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestEventEngineDeterminism(t *testing.T) {
 	g := graph.Gnp(24, 0.3, 42)
 	run := func() *Report {
 		eng := &EventEngine{Delay: UniformDelay(0.05), Seed: 99, FIFO: true}
-		_, rep, err := eng.Run(g, tokenFactory(40))
+		_, rep, err := eng.Run(g.Compile(), tokenFactory(40))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,7 +167,7 @@ func TestFIFOOrdering(t *testing.T) {
 	factory := func(id NodeID, _ []NodeID) Protocol { return &seqSender{id: id, count: count} }
 
 	eng := &EventEngine{Delay: UniformDelay(0.01), Seed: 5, FIFO: true}
-	protos, _, err := eng.Run(g, factory)
+	protos, _, err := eng.Run(g.Compile(), factory)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestFIFOOrdering(t *testing.T) {
 	// Without FIFO the same seed must reorder at least one pair (delays are
 	// i.i.d. over 64 messages, so a monotone outcome would be astonishing).
 	eng = &EventEngine{Delay: UniformDelay(0.01), Seed: 5, FIFO: false}
-	protos, _, err = eng.Run(g, factory)
+	protos, _, err = eng.Run(g.Compile(), factory)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestNonNeighborSendFails(t *testing.T) {
 	factory := func(id NodeID, _ []NodeID) Protocol { return &badSender{id: id} }
 	for name, eng := range engines() {
 		t.Run(name, func(t *testing.T) {
-			_, _, err := eng.Run(g, factory)
+			_, _, err := eng.Run(g.Compile(), factory)
 			if err == nil || !strings.Contains(err.Error(), "non-neighbour") {
 				t.Errorf("want non-neighbour error, got %v", err)
 			}
@@ -237,7 +237,7 @@ func (chainReaction) Recv(ctx Context, from NodeID, _ WireMsg) {
 func TestLivelockGuard(t *testing.T) {
 	g := graph.Ring(4)
 	eng := &EventEngine{Delay: UnitDelay, MaxMessages: 1000}
-	_, _, err := eng.Run(g, func(NodeID, []NodeID) Protocol { return chainReaction{} })
+	_, _, err := eng.Run(g.Compile(), func(NodeID, []NodeID) Protocol { return chainReaction{} })
 	var be *BudgetError
 	if !errors.As(err, &be) || be.Limit != 1000 {
 		t.Errorf("want *BudgetError with Limit 1000, got %v", err)
@@ -268,7 +268,7 @@ func TestTraceEvents(t *testing.T) {
 	g := graph.Path(2)
 	var events []TraceEvent
 	eng := &EventEngine{Delay: UnitDelay, Trace: func(e TraceEvent) { events = append(events, e) }}
-	_, _, err := eng.Run(g, tokenFactory(3))
+	_, _, err := eng.Run(g.Compile(), tokenFactory(3))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,15 +22,18 @@ func requireSameReport(t *testing.T, what string, a, b *sim.Report) {
 	}
 }
 
-// TestBuildCompiledDenseMatchesMap holds the dense build path — dense engine
-// result, slab flood factory, ExtractDense — to the map path's exact tree
-// and report, across every deterministic engine tier.
+// TestBuildCompiledDenseMatchesMap holds the two flood factories to one
+// result on every deterministic engine: the heap factory (a protocol
+// instance per node, through BuildCompiled and its map-keyed tree) and the
+// slab factory (through BuildCompiledDense) must build the same tree with
+// the same report. Under unit delay both must also be the sequential
+// breadth-first tree.
 func TestBuildCompiledDenseMatchesMap(t *testing.T) {
 	engines := func() map[string]sim.Engine {
 		return map[string]sim.Engine{
 			"event-unit":   &sim.EventEngine{Delay: sim.UnitDelay},
 			"event-random": &sim.EventEngine{Delay: sim.UniformDelay(0.2), Seed: 7, FIFO: true},
-			"reference":    &sim.ReferenceEngine{}, // no dense path: exercises the fold-down fallback
+			"reference":    &sim.ReferenceEngine{},
 		}
 	}
 	for gname, g := range testGraphs() {
@@ -39,22 +42,32 @@ func TestBuildCompiledDenseMatchesMap(t *testing.T) {
 		for ename := range engines() {
 			t.Run(gname+"/"+ename, func(t *testing.T) {
 				// Fresh engine values per run so RNG seeding cannot couple
-				// the two paths.
-				want, wantRep, err := BuildCompiled(engines()[ename], c, NewFloodFactory(root))
+				// the two factories.
+				heap, heapRep, err := BuildCompiled(engines()[ename], c, NewFloodFactory(root))
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, gotRep, err := BuildCompiledDense(engines()[ename], c, NewFloodFactorySnap(c, root))
+				slab, slabRep, err := BuildCompiledDense(engines()[ename], c, NewFloodFactorySnap(c, root))
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := got.Validate(c); err != nil {
+				if err := slab.Validate(c); err != nil {
 					t.Fatal(err)
 				}
-				if back := got.ToTree(); !want.Equal(back) {
-					t.Fatalf("trees diverged\nmap:\n%s\ndense:\n%s", want, back)
+				if back := slab.ToTree(); !heap.Equal(back) {
+					t.Fatalf("trees diverged\nheap factory:\n%s\nslab factory:\n%s", heap, back)
 				}
-				requireSameReport(t, gname+"/"+ename, wantRep, gotRep)
+				requireSameReport(t, gname+"/"+ename, heapRep, slabRep)
+				if ename == "event-random" {
+					return
+				}
+				bfs, err := BFSTree(g, root)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bfs.Equal(heap) {
+					t.Fatalf("unit-delay flood is not the BFS tree\nflood:\n%s\nBFS:\n%s", heap, bfs)
+				}
 			})
 		}
 	}
@@ -168,14 +181,15 @@ func TestExtractDenseRejects(t *testing.T) {
 	}
 }
 
-// TestFloodDenseTrafficInvariantAllocs pins the dense path's allocation
+// TestFloodDenseTrafficInvariantAllocs pins the slab factory's allocation
 // behaviour two ways. Traffic invariance: with the node count held fixed,
 // quadrupling the edge count (and so roughly the message count) must not
 // move the per-run allocation count by more than a twentieth of an
 // allocation per extra message — the hot loops are allocation-free, and
-// what remains is per-node or per-round bookkeeping. Reduction: the dense
-// path must allocate at least 10x less than the map path on the same
-// workload.
+// what remains is per-node or per-round bookkeeping. Reduction: the slab
+// factory through BuildCompiledDense must allocate at least 10x less than
+// the heap factory through BuildCompiled (a protocol instance per node and
+// the map-keyed tree) on the same workload.
 func TestFloodDenseTrafficInvariantAllocs(t *testing.T) {
 	measure := func(sparse bool, dense bool) (float64, int64) {
 		m := 1800
@@ -210,7 +224,7 @@ func TestFloodDenseTrafficInvariantAllocs(t *testing.T) {
 	aSparse, mSparse := measure(true, true)
 	aDense, mDense := measure(false, true)
 	aMap, _ := measure(false, false)
-	t.Logf("dense path: %.0f allocs @ %d msgs (sparse), %.0f allocs @ %d msgs (dense); map path: %.0f allocs",
+	t.Logf("slab factory: %.0f allocs @ %d msgs (sparse), %.0f allocs @ %d msgs (dense); heap factory: %.0f allocs",
 		aSparse, mSparse, aDense, mDense, aMap)
 	if mDense <= mSparse {
 		t.Fatalf("workloads not ordered by traffic: %d vs %d messages", mSparse, mDense)
@@ -219,6 +233,6 @@ func TestFloodDenseTrafficInvariantAllocs(t *testing.T) {
 		t.Errorf("allocations scale with traffic: %.4f allocs per extra message", marginal)
 	}
 	if aDense*10 > aMap {
-		t.Errorf("dense path allocates %.0f, map path %.0f: want at least a 10x reduction", aDense, aMap)
+		t.Errorf("slab factory allocates %.0f, heap factory %.0f: want at least a 10x reduction", aDense, aMap)
 	}
 }

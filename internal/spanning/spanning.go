@@ -27,8 +27,8 @@ import (
 	"mdegst/internal/tree"
 )
 
-// TreeNode is implemented by every spanning-tree protocol node so the final
-// tree can be read back after the run.
+// TreeNode is implemented by every spanning-tree protocol node, and by the
+// mdst improvement node, so the final tree can be read back after the run.
 type TreeNode interface {
 	// TreeInfo returns this node's view of the finished tree.
 	TreeInfo() (parent sim.NodeID, children []sim.NodeID, isRoot bool)
@@ -37,48 +37,12 @@ type TreeNode interface {
 	Finished() bool
 }
 
-// Extract reads the tree out of the final protocol states and validates it
-// as a spanning tree of g.
-func Extract(g *graph.Graph, protos map[sim.NodeID]sim.Protocol) (*tree.Tree, error) {
-	var root sim.NodeID
-	roots := 0
-	parent := make(map[graph.NodeID]graph.NodeID, len(protos))
-	for id, p := range protos {
-		tn, ok := p.(TreeNode)
-		if !ok {
-			return nil, fmt.Errorf("spanning: node %d protocol %T does not expose a tree", id, p)
-		}
-		if !tn.Finished() {
-			return nil, fmt.Errorf("spanning: node %d did not learn termination", id)
-		}
-		par, _, isRoot := tn.TreeInfo()
-		if isRoot {
-			root = id
-			roots++
-			parent[id] = id
-		} else {
-			parent[id] = par
-		}
-	}
-	if roots != 1 {
-		return nil, fmt.Errorf("spanning: %d roots, want exactly 1", roots)
-	}
-	t, err := tree.FromParentMap(root, parent)
-	if err != nil {
-		return nil, err
-	}
-	if err := t.Validate(g); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-// ExtractDense reads the tree out of dense-indexed final protocol states
-// (the sim.RunCompiledDense form: protos[i] belongs to c.Index().ID(i)) and
-// validates it as a spanning tree of the snapshot. It is Extract without
-// the intermediate identity-keyed maps: the parent table goes straight into
-// tree.FromParentDense and only the graph constraint — every parent link is
-// a real edge — is checked here, against the CSR.
+// ExtractDense reads the tree out of the final protocol states, as
+// sim.Engine.Run returns them (protos[i] belongs to c.Index().ID(i)), and
+// validates it as a spanning tree of the snapshot: every node finished,
+// exactly one root, every parent inside the snapshot, no cycle (checked by
+// tree.FromParentDense) and every parent link a graph edge (checked here,
+// against the CSR).
 func ExtractDense(c *graph.CSR, protos []sim.Protocol) (*tree.Dense, error) {
 	idx := c.Index()
 	if len(protos) != c.N() {
@@ -128,28 +92,24 @@ func Build(eng sim.Engine, g *graph.Graph, f sim.Factory) (*tree.Tree, *sim.Repo
 	return BuildCompiled(eng, g.Compile(), f)
 }
 
-// BuildCompiled is Build over a pre-compiled snapshot, the form the
-// experiment harness uses so one compilation is shared across trials.
+// BuildCompiled is Build over a pre-compiled snapshot: BuildCompiledDense
+// followed by the conversion to the map-keyed tree.
 func BuildCompiled(eng sim.Engine, c *graph.CSR, f sim.Factory) (*tree.Tree, *sim.Report, error) {
-	protos, rep, err := sim.RunCompiled(eng, c, f)
+	d, rep, err := BuildCompiledDense(eng, c, f)
 	if err != nil {
 		return nil, nil, err
 	}
-	t, err := Extract(c.Source(), protos)
-	if err != nil {
-		return nil, nil, err
-	}
-	return t, rep, nil
+	return d.ToTree(), rep, nil
 }
 
-// BuildCompiledDense is BuildCompiled on the dense path: the engine hands
-// the final states back as a slice (sim.DenseSnapshotEngine) and extraction
-// produces the tree in its dense working form directly, never touching an
-// identity-keyed map. The experiment harness startup step uses it so that
-// building the initial tree on a million-node workload costs a handful of
-// allocations rather than one per node.
+// BuildCompiledDense runs a spanning-tree protocol over the snapshot and
+// extracts the tree in its dense working form, never touching an
+// identity-keyed map. Paired with a slab factory (NewFloodFactorySnap) the
+// experiment harness startup step builds the initial tree of a
+// million-node workload in a handful of allocations rather than one per
+// node.
 func BuildCompiledDense(eng sim.Engine, c *graph.CSR, f sim.Factory) (*tree.Dense, *sim.Report, error) {
-	protos, rep, err := sim.RunCompiledDense(eng, c, f)
+	protos, rep, err := eng.Run(c, f)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -203,12 +203,14 @@ func TestElectionPicksMinID(t *testing.T) {
 	g := graph.Gnp(25, 0.25, 55)
 	for ename, eng := range testEngines() {
 		t.Run(ename, func(t *testing.T) {
-			protos, _, err := eng.Run(g, NewElectionFactory())
+			c := g.Compile()
+			protos, _, err := eng.Run(c, NewElectionFactory())
 			if err != nil {
 				t.Fatal(err)
 			}
 			min := g.Nodes()[0]
-			for id, p := range protos {
+			for i, p := range protos {
+				id := c.Index().ID(int32(i))
 				leader := p.(*ElectionNode).Leader()
 				if leader != (id == min) {
 					t.Errorf("node %d leader=%v, want %v", id, leader, id == min)
