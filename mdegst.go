@@ -376,7 +376,8 @@ func ExactMinDegree(g *Graph) (int, *Tree, error) {
 	return exact.MinDegree(g)
 }
 
-// DegreeLowerBound returns a cheap lower bound on Δ* valid for any size.
+// DegreeLowerBound returns a lower bound on Δ* valid for any size: the
+// most components G-v has over all nodes v, from one O(n+m) low-link DFS.
 func DegreeLowerBound(g *Graph) int {
 	return exact.DegreeLowerBound(g)
 }
