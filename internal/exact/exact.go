@@ -80,11 +80,11 @@ func DegreeLowerBound(g *graph.Graph) int {
 }
 
 // degreeLowerBound is DegreeLowerBound over a snapshot: one iterative
-// low-link DFS over the CSR. With disc the discovery time and low the
-// smallest disc reachable through a DFS subtree plus one non-tree edge,
-// removing v leaves c(G)-1 other components, one component per DFS child w
-// with low[w] >= disc[v], and one more holding v's DFS parent unless v is a
-// root.
+// low-link DFS over the CSR. With disc the discovery time and low[w] the
+// smallest disc one edge away from w's DFS subtree (the edge to w's parent
+// included, which the >= test below tolerates), removing v leaves the
+// c(G)-1 other components, one component per DFS child w with
+// low[w] >= disc[v], and one more holding v's DFS parent unless v is a root.
 func degreeLowerBound(c *graph.CSR) int {
 	n := c.N()
 	disc := make([]int32, n) // 1-based discovery time, 0 = unvisited
