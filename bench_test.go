@@ -157,13 +157,13 @@ func BenchmarkEngines(b *testing.B) {
 
 // BenchmarkLargeFlood measures raw engine throughput at the scale the
 // bounded-delay schedulers unlocked: distributed flood spanning-tree
-// construction over 4k–1M-node workloads on one compiled snapshot (the
-// recorded trajectory entries live in the `mdstbench -perf` suite). The
-// 1M grid costs several seconds of one-off generation plus about a second
-// per iteration.
+// construction over 4k–1M-node workloads on one compiled snapshot (their
+// allocation counts are pinned by TestAllocsPinned). The 1M grid costs
+// several seconds of one-off generation plus several seconds per
+// iteration.
 func BenchmarkLargeFlood(b *testing.B) {
 	// The graphs come from the shared catalog (internal/workload) so these
-	// names stay byte-for-byte the workloads recorded in BENCH_*.json.
+	// names stay byte-for-byte the workloads of the allocation pins.
 	for _, w := range workload.Large() {
 		b.Run(w.Name, func(b *testing.B) {
 			c := mdegst.Compile(w.Gen())

@@ -6,11 +6,10 @@ import (
 	"os"
 )
 
-// The benchmark regression gate behind `mdstbench -perf out.json -compare
-// baseline.json`: the fresh suite is diffed against a recorded baseline
-// file (BENCH_wire.json for -perf, BENCH_net.json for -netbench) workload by
-// workload, and the process exits non-zero when any shared workload
-// regressed past the thresholds. Time comparisons get a generous multiplier
+// The benchmark regression gate behind `mdstbench -netbench out.json
+// -compare BENCH_net.json`: the fresh suite is diffed against a recorded
+// baseline file workload by workload, and the process exits non-zero when
+// any shared workload regressed past the thresholds. Time comparisons get a generous multiplier
 // because wall time is machine- and load-dependent; allocation counts are
 // deterministic for a fixed workload, so their threshold is tight.
 
@@ -18,12 +17,12 @@ import (
 // below old * allocThreshold.
 const allocThreshold = 1.10
 
-// allocSlackAbs exempts tiny absolute drifts from the ratio gate. The
-// dense-path entries run at a few hundred allocs/op, where a single GC
-// cycle evicting the engines' sync.Pools mid-benchmark shifts the count
-// by tens of allocs — 10%+ relative, pure noise in absolute terms. A real
-// regression on these workloads (reintroducing a per-node map, losing a
-// slab) costs thousands of allocs and still trips the gate.
+// allocSlackAbs exempts tiny absolute drifts from the ratio gate. On a
+// cell of a few hundred allocs/op a single GC cycle evicting the engines'
+// sync.Pools mid-benchmark shifts the count by tens of allocs — 10%+
+// relative, pure noise in absolute terms. A real regression (reintroducing
+// a per-node map, losing a slab) costs thousands of allocs and still trips
+// the gate.
 const allocSlackAbs = 64
 
 type comparison struct {

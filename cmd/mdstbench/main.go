@@ -12,15 +12,15 @@
 //	mdstbench -parallel 1       # sequential execution
 //	mdstbench -progress         # live per-trial progress on stderr
 //	mdstbench -json out.json    # machine-readable tables ("-" for stdout)
-//	mdstbench -perf bench.json  # engine/harness micro-benchmarks instead of tables
-//	mdstbench -perf bench.json -compare BENCH_wire.json
-//	                            # ... and fail (exit 1) on regression vs the recorded trajectory
-//	mdstbench -perf bench.json -cpuprofile cpu.pprof -memprofile mem.pprof
+//	mdstbench -cpuprofile cpu.pprof -memprofile mem.pprof
 //	                            # ... with pprof evidence for perf work
 //	mdstbench -netbench net.json
 //	                            # loopback distributed-engine suite (BENCH_net.json trajectory)
 //	mdstbench -netbench net.json -compare BENCH_net.json
 //	                            # ... gated against the recorded loopback baseline
+//
+// Perf claims about the paper's pipeline are measured by the perfbench
+// module (perfbench/README.md), not by this command.
 package main
 
 import (
@@ -48,7 +48,6 @@ type options struct {
 	parallel   int
 	progress   bool
 	jsonOut    string
-	perfOut    string
 	netOut     string
 	compare    string
 	nsThresh   float64
@@ -65,11 +64,10 @@ func parseFlags() options {
 	flag.IntVar(&o.parallel, "parallel", 0, "worker count (0: GOMAXPROCS)")
 	flag.BoolVar(&o.progress, "progress", false, "report per-trial progress on stderr")
 	flag.StringVar(&o.jsonOut, "json", "", "also write tables as JSON to this file (\"-\" for stdout)")
-	flag.StringVar(&o.perfOut, "perf", "", "run the perf suite instead of the tables and write JSON here (\"-\" for stdout)")
 	flag.StringVar(&o.netOut, "netbench", "", "run the loopback distributed-engine suite instead of the tables and write JSON here (\"-\" for stdout)")
-	flag.StringVar(&o.compare, "compare", "", "with -perf or -netbench: diff the fresh suite against this recorded baseline (e.g. BENCH_wire.json, BENCH_net.json) and exit non-zero on regression")
+	flag.StringVar(&o.compare, "compare", "", "with -netbench: diff the fresh suite against this recorded baseline (BENCH_net.json) and exit non-zero on regression")
 	flag.Float64Var(&o.nsThresh, "threshold", 1.25, "with -compare: allowed ns/op growth factor before the gate fails")
-	flag.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile of the whole run (tables or -perf) to this file")
+	flag.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile of the whole run (tables or -netbench) to this file")
 	flag.StringVar(&o.memProfile, "memprofile", "", "write an end-of-run heap profile to this file")
 	flag.Parse()
 	return o
@@ -121,11 +119,8 @@ func mainE() int {
 }
 
 func run(o options) error {
-	if o.compare != "" && o.perfOut == "" && o.netOut == "" {
-		return fmt.Errorf("-compare requires -perf or -netbench")
-	}
-	if o.perfOut != "" && o.netOut != "" {
-		return fmt.Errorf("-perf and -netbench are separate suites; run them separately")
+	if o.compare != "" && o.netOut == "" {
+		return fmt.Errorf("-compare requires -netbench")
 	}
 	if o.netOut != "" {
 		if o.which != "" || o.quick || o.seeds > 0 || o.scale > 0 || o.jsonOut != "" || o.progress || o.parallel != 0 {
@@ -147,28 +142,6 @@ func run(o options) error {
 		}
 		return nil
 	}
-	if o.perfOut != "" {
-		// The perf suite runs fixed workloads; only -parallel feeds into it.
-		if o.which != "" || o.quick || o.seeds > 0 || o.scale > 0 || o.jsonOut != "" || o.progress {
-			return fmt.Errorf("-perf runs a fixed benchmark suite; it is incompatible with -exp, -quick, -seeds, -scale, -json and -progress")
-		}
-		fresh, err := runPerf(o.perfOut, o.parallel)
-		if err != nil {
-			return err
-		}
-		if o.compare != "" {
-			baseline, err := loadPerf(o.compare)
-			if err != nil {
-				return err
-			}
-			if comparePerf(baseline, fresh, o.nsThresh) {
-				return fmt.Errorf("performance regressed against %s", o.compare)
-			}
-			fmt.Fprintf(os.Stderr, "mdstbench: no regression against %s\n", o.compare)
-		}
-		return nil
-	}
-
 	cfg := exp.Default()
 	if o.quick {
 		cfg = exp.Quick()

@@ -49,6 +49,30 @@ const (
 	netMeshTimeout = 10 * time.Second
 )
 
+// perfEntry is one measured cell of the suite.
+type perfEntry struct {
+	Name        string `json:"name"`
+	Iterations  int    `json:"iterations"`
+	NsPerOp     int64  `json:"ns_per_op"`
+	AllocsPerOp int64  `json:"allocs_per_op"`
+	BytesPerOp  int64  `json:"bytes_per_op"`
+	// Procs is the cell's process count.
+	Procs int `json:"procs,omitempty"`
+}
+
+// perfReport is the suite's JSON report, and the shape of the recorded
+// baseline -compare reads.
+type perfReport struct {
+	GoVersion  string            `json:"go_version"`
+	GOMAXPROCS int               `json:"gomaxprocs"`
+	Workloads  []perfEntry       `json:"workloads"`
+	Derived    map[string]string `json:"derived"`
+	// Net carries the per-cell wire counters (entry name -> NetStats
+	// accumulated over every measured iteration); the compare gate
+	// ignores it.
+	Net map[string]*mdnet.NetStats `json:"net,omitempty"`
+}
+
 // netProcCounts is the process axis of the suite.
 var netProcCounts = []int{2, 4}
 
@@ -125,10 +149,9 @@ func newNetCluster(c *graph.CSR, k int) (*netCluster, error) {
 }
 
 // run executes one distributed flood build across the live mesh, with the
-// slab flood factory on the dense extraction path — the same choices as
-// the -scaling suite: the suite measures the engine, so it must not spend
-// its wall time growing per-node children lists or materialising an
-// identity-keyed result map it immediately drops.
+// slab flood factory on the dense extraction path: the suite measures the
+// engine, so it must not spend its wall time growing per-node children
+// lists or materialising an identity-keyed result map it immediately drops.
 func (cl *netCluster) run(c *graph.CSR) error {
 	errs := make([]error, cl.k)
 	var wg sync.WaitGroup

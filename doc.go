@@ -41,9 +41,9 @@
 // For a fixed ExperimentOptions configuration the tables are deterministic:
 // bit-identical at any Parallel value. WriteExperimentsJSON emits the same
 // tables on a machine-readable JSON surface, shared with the mdstbench
-// -json flag; mdstbench -perf records engine and harness benchmarks, and
-// mdstbench -perf -compare BENCH_wire.json gates regressions against the
-// recorded file.
+// -json flag. Perf claims about the pipeline are measured by the perfbench
+// module (perfbench/README.md); allocation counts of the engine and harness
+// hot paths are pinned by TestAllocsPinned.
 //
 // The packages under internal/ hold the implementations; this package is
 // the stable surface: Graph and Tree are aliases of the internal types, so

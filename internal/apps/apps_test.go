@@ -83,7 +83,7 @@ func TestImprovementReducesMeasuredLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	after, _, err := fr.Twin(g, before, mdst.Hybrid)
+	after, _, err := fr.TwinTargetSnapshot(g.Compile(), before, mdst.Hybrid, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -78,7 +78,7 @@ func TestSyncControlLoadFollowsTreeDegree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	improved, _, err := fr.Twin(g, star, mdst.Hybrid)
+	improved, _, err := fr.TwinTargetSnapshot(g.Compile(), star, mdst.Hybrid, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

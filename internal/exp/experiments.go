@@ -87,7 +87,7 @@ func mustStar(g *graph.Graph) *tree.Tree {
 }
 
 func mustRun(c *graph.CSR, t0 *tree.Tree, mode mdst.Mode) *mdst.Result {
-	res, err := mdst.RunSnapshot(unitEngine(), c, t0, mode)
+	res, err := mdst.Run(unitEngine(), c, t0, mode, 0)
 	if err != nil {
 		panic(fmt.Sprintf("exp: %v", err))
 	}
@@ -95,7 +95,7 @@ func mustRun(c *graph.CSR, t0 *tree.Tree, mode mdst.Mode) *mdst.Result {
 }
 
 func mustTwin(c *graph.CSR, t0 *tree.Tree, mode mdst.Mode) (*tree.Tree, fr.TwinStats) {
-	t, st, err := fr.TwinSnapshot(c, t0, mode)
+	t, st, err := fr.TwinTargetSnapshot(c, t0, mode, 0)
 	if err != nil {
 		panic(fmt.Sprintf("exp: %v", err))
 	}
@@ -895,7 +895,7 @@ func a3Spec(cfg Config) spec {
 	for _, e := range engines {
 		trials = append(trials, func() any {
 			c := w.snap(0)
-			res, err := mdst.RunSnapshot(e.mk(), c, mustStar(c.Source()), mdst.Hybrid)
+			res, err := mdst.Run(e.mk(), c, mustStar(c.Source()), mdst.Hybrid, 0)
 			if err != nil {
 				panic(err)
 			}

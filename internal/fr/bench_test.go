@@ -20,7 +20,7 @@ func BenchmarkTwinModes(b *testing.B) {
 	for _, mode := range []mdst.Mode{mdst.Single, mdst.Multi, mdst.Hybrid} {
 		b.Run(mode.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := Twin(g, t0, mode); err != nil {
+				if _, _, err := TwinTargetSnapshot(g.Compile(), t0, mode, 0); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -33,7 +33,7 @@ func TestTwinNeverIncreasesDegree(t *testing.T) {
 		g := randomConnected(rng, 8+rng.Intn(30))
 		t0 := starInitial(t, g)
 		for _, mode := range []mdst.Mode{mdst.Single, mdst.Multi} {
-			got, stats, err := Twin(g, t0, mode)
+			got, stats, err := TwinTargetSnapshot(g.Compile(), t0, mode, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -60,7 +60,7 @@ func TestTwinModesReachLocalOptimum(t *testing.T) {
 		g := randomConnected(rng, 10+rng.Intn(20))
 		t0 := starInitial(t, g)
 		for _, mode := range []mdst.Mode{mdst.Single, mdst.Hybrid} {
-			tr, _, err := Twin(g, t0, mode)
+			tr, _, err := TwinTargetSnapshot(g.Compile(), t0, mode, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -68,7 +68,7 @@ func TestTwinModesReachLocalOptimum(t *testing.T) {
 				t.Errorf("iter %d: %v result is not locally optimal", i, mode)
 			}
 		}
-		multi, _, err := Twin(g, t0, mdst.Multi)
+		multi, _, err := TwinTargetSnapshot(g.Compile(), t0, mdst.Multi, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -236,7 +236,7 @@ func TestTwinOnChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, stats, err := Twin(g, t0, mdst.Single)
+	got, stats, err := TwinTargetSnapshot(g.Compile(), t0, mdst.Single, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestTwinOnChain(t *testing.T) {
 func TestTwinRejectsBadTree(t *testing.T) {
 	g := graph.Ring(5)
 	bad := tree.New(0)
-	if _, _, err := Twin(g, bad, mdst.Single); err == nil {
+	if _, _, err := TwinTargetSnapshot(g.Compile(), bad, mdst.Single, 0); err == nil {
 		t.Error("non-spanning tree accepted")
 	}
 }
@@ -267,11 +267,11 @@ func TestQuickTwinInvariants(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		single, s1, err := Twin(g, t0, mdst.Single)
+		single, s1, err := TwinTargetSnapshot(g.Compile(), t0, mdst.Single, 0)
 		if err != nil || single.Validate(g) != nil {
 			return false
 		}
-		multi, s2, err := Twin(g, t0, mdst.Multi)
+		multi, s2, err := TwinTargetSnapshot(g.Compile(), t0, mdst.Multi, 0)
 		if err != nil || multi.Validate(g) != nil {
 			return false
 		}
@@ -286,10 +286,10 @@ func TestQuickTwinInvariants(t *testing.T) {
 	}
 }
 
-func ExampleTwin() {
+func ExampleTwinTargetSnapshot() {
 	g := graph.Wheel(8)
 	t0, _ := spanning.StarTree(g)
-	improved, stats, _ := Twin(g, t0, mdst.Single)
+	improved, stats, _ := TwinTargetSnapshot(g.Compile(), t0, mdst.Single, 0)
 	deg, _ := improved.MaxDegree()
 	fmt.Println("initial:", stats.InitialDegree, "final:", deg)
 	// Output: initial: 7 final: 2

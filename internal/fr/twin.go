@@ -1,9 +1,9 @@
 // Package fr provides the sequential counterparts of the distributed
 // improvement protocol:
 //
-//   - Twin: a step-for-step sequential replica of internal/mdst with
-//     identical tie-breaking, used as a differential-testing oracle and to
-//     compute k*, the degree of the paper's Locally Optimal Tree, which the
+//   - TwinTargetSnapshot: a step-for-step sequential replica of
+//     internal/mdst with identical tie-breaking, used as a
+//     differential-testing oracle and to compute k*, the degree of the paper's Locally Optimal Tree, which the
 //     complexity bounds O((k-k*)·m) and O((k-k*)·n) are stated against.
 //   - FurerRaghavachari: the classic sequential local search the paper
 //     builds on (reference [3]), using global cycle information.
@@ -58,28 +58,11 @@ func (r twinReport) better(o twinReport) bool {
 	return false
 }
 
-// Twin runs the sequential replica of the distributed protocol in the given
-// mode, starting from the initial tree (which is not modified), and returns
-// the improved tree. For equal inputs its result tree (including root
-// placement and edge orientation) is identical to the distributed
-// protocol's.
-func Twin(g *graph.Graph, initial *tree.Tree, mode mdst.Mode) (*tree.Tree, TwinStats, error) {
-	return TwinTarget(g, initial, mode, 0)
-}
-
-// TwinTarget is Twin with the degree-target stop used by mdst.RunTarget.
-func TwinTarget(g *graph.Graph, initial *tree.Tree, mode mdst.Mode, target int) (*tree.Tree, TwinStats, error) {
-	return TwinTargetSnapshot(g.Compile(), initial, mode, target)
-}
-
-// TwinSnapshot is Twin over a pre-compiled snapshot: the experiment harness
-// compiles each workload once per table and shares the snapshot across
-// trials.
-func TwinSnapshot(c *graph.CSR, initial *tree.Tree, mode mdst.Mode) (*tree.Tree, TwinStats, error) {
-	return TwinTargetSnapshot(c, initial, mode, 0)
-}
-
-// TwinTargetSnapshot runs the sequential replica entirely on the dense-index
+// TwinTargetSnapshot runs the sequential replica of the distributed
+// protocol in the given mode, starting from the initial tree (which is not
+// modified), and returns the improved tree. For equal inputs its result
+// tree (including root placement and edge orientation) is identical to
+// mdst.Run's, degree target included. It runs entirely on the dense-index
 // substrate: the tree is the slice-backed tree.Dense, fragments and
 // exhaustion flags are slices over the snapshot's index, and the edge scan
 // walks the CSR adjacency — no NodeID map is touched after setup.

@@ -90,7 +90,7 @@ func TestExtractRejects(t *testing.T) {
 }
 
 // TestExtractAdapterMatchesDense runs the improvement once through the
-// dense path (RunTargetSnapshot) and once through sim.RunCompiled and the
+// dense path (Run) and once through sim.RunCompiled and the
 // Extract map adapter, on a graph whose identities are not its dense
 // indices: both must give the same Result.
 func TestExtractAdapterMatchesDense(t *testing.T) {
@@ -101,7 +101,7 @@ func TestExtractAdapterMatchesDense(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := func() sim.Engine { return &sim.EventEngine{Delay: sim.UnitDelay, FIFO: true} }
-	want, err := RunTargetSnapshot(eng(), c, initial, Hybrid, 0)
+	want, err := Run(eng(), c, initial, Hybrid, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,43 +44,35 @@ type Result struct {
 	FinalDegree   int
 }
 
-// FactoryFromTree builds the protocol factory for an initial tree.
+// FactoryFromTree returns a sim.Factory for the improvement protocol
+// starting from the initial rooted spanning tree t. Every node gets its own
+// copy of its children list, so a run never writes to t. A positive target
+// stops the algorithm as soon as the maximum degree reaches it — the
+// paper's "cannot exceed a given value k" variant; zero improves to local
+// optimality.
 func FactoryFromTree(mode Mode, target int, t *tree.Tree) sim.Factory {
-	parent := make(map[sim.NodeID]sim.NodeID, t.N())
-	children := make(map[sim.NodeID][]sim.NodeID, t.N())
-	for v, p := range t.Parent {
-		parent[v] = p
+	return func(id sim.NodeID, _ []sim.NodeID) sim.Protocol {
+		n := &Node{
+			id:       id,
+			mode:     mode,
+			phase:    mode.initialPhase(),
+			target:   target,
+			children: append([]sim.NodeID(nil), t.Children[id]...),
+		}
+		if id != t.Root {
+			n.parent = t.Parent[id]
+			n.hasParent = true
+		}
+		return n
 	}
-	parent[t.Root] = t.Root
-	for v, ch := range t.Children {
-		children[v] = ch
-	}
-	return NewFactory(mode, target, t.Root, parent, children)
 }
 
-// Run executes the improvement protocol on the engine, starting from the
-// given spanning tree of g, and returns the validated result.
-func Run(eng sim.Engine, g *graph.Graph, initial *tree.Tree, mode Mode) (*Result, error) {
-	return RunTarget(eng, g, initial, mode, 0)
-}
-
-// RunTarget is Run with a degree target: the protocol stops as soon as the
-// maximum degree is at most target (the paper's "cannot exceed a given
-// value k" variant). A target of 0 improves to local optimality.
-func RunTarget(eng sim.Engine, g *graph.Graph, initial *tree.Tree, mode Mode, target int) (*Result, error) {
-	return RunTargetSnapshot(eng, g.Compile(), initial, mode, target)
-}
-
-// RunSnapshot is Run over a pre-compiled snapshot: the harness compiles each
-// workload once and shares the snapshot across trials and engines.
-func RunSnapshot(eng sim.Engine, c *graph.CSR, initial *tree.Tree, mode Mode) (*Result, error) {
-	return RunTargetSnapshot(eng, c, initial, mode, 0)
-}
-
-// RunTargetSnapshot is RunTarget over a pre-compiled snapshot.
-func RunTargetSnapshot(eng sim.Engine, c *graph.CSR, initial *tree.Tree, mode Mode, target int) (*Result, error) {
-	g := c.Source()
-	if err := initial.Validate(g); err != nil {
+// Run executes the improvement protocol on the engine over the compiled
+// graph, starting from the given spanning tree, and returns the validated
+// result. A positive target stops the protocol as soon as the maximum
+// degree is at most target; 0 improves to local optimality.
+func Run(eng sim.Engine, c *graph.CSR, initial *tree.Tree, mode Mode, target int) (*Result, error) {
+	if err := initial.Validate(c.Source()); err != nil {
 		return nil, fmt.Errorf("mdst: initial tree invalid: %w", err)
 	}
 	protos, rep, err := eng.Run(c, FactoryFromTree(mode, target, initial))
@@ -90,14 +82,12 @@ func RunTargetSnapshot(eng sim.Engine, c *graph.CSR, initial *tree.Tree, mode Mo
 	return extract(c, initial, protos, rep)
 }
 
-// ResumeTargetSnapshot continues a checkpointed improvement run: the
-// factory is rebuilt from the same initial tree and mode, the engine
-// restores the frozen states and pending messages, and the completed
-// Result — tree, report, rounds, swaps — is identical to the uninterrupted
-// run's.
-func ResumeTargetSnapshot(eng sim.ResumableEngine, c *graph.CSR, initial *tree.Tree, mode Mode, target int, ck *sim.Checkpoint) (*Result, error) {
-	g := c.Source()
-	if err := initial.Validate(g); err != nil {
+// Resume continues a checkpointed improvement run: the factory is rebuilt
+// from the same initial tree and mode, the engine restores the frozen
+// states and pending messages, and the completed Result — tree, report,
+// rounds, swaps — is identical to the uninterrupted run's.
+func Resume(eng sim.ResumableEngine, c *graph.CSR, initial *tree.Tree, mode Mode, target int, ck *sim.Checkpoint) (*Result, error) {
+	if err := initial.Validate(c.Source()); err != nil {
 		return nil, fmt.Errorf("mdst: initial tree invalid: %w", err)
 	}
 	protos, rep, err := eng.Resume(c, FactoryFromTree(mode, target, initial), ck)

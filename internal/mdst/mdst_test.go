@@ -2,6 +2,7 @@ package mdst_test
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"mdegst/internal/fr"
@@ -68,11 +69,11 @@ func TestDistributedMatchesSequentialTwin(t *testing.T) {
 			for _, mode := range []mdst.Mode{mdst.Single, mdst.Multi, mdst.Hybrid} {
 				name := fmt.Sprintf("%s/%s/%s", tc.name, tname, mode)
 				t.Run(name, func(t *testing.T) {
-					res, err := mdst.Run(unitEngine(), tc.g, t0, mode)
+					res, err := mdst.Run(unitEngine(), tc.g.Compile(), t0, mode, 0)
 					if err != nil {
 						t.Fatal(err)
 					}
-					want, stats, err := fr.Twin(tc.g, t0, mode)
+					want, stats, err := fr.TwinTargetSnapshot(tc.g.Compile(), t0, mode, 0)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -120,7 +121,7 @@ func TestDeliveryOrderIndependence(t *testing.T) {
 			for ename, mk := range engines {
 				name := fmt.Sprintf("g%d/%s/%s", gi, mode, ename)
 				t.Run(name, func(t *testing.T) {
-					res, err := mdst.Run(mk(), g, t0, mode)
+					res, err := mdst.Run(mk(), g.Compile(), t0, mode, 0)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -164,7 +165,7 @@ func TestFigure1Exchange(t *testing.T) {
 	if deg0 != 3 || at[0] != 0 {
 		t.Fatalf("setup: max degree %d at %v, want 3 at node 0", deg0, at)
 	}
-	res, err := mdst.Run(unitEngine(), g, t0, mdst.Single)
+	res, err := mdst.Run(unitEngine(), g.Compile(), t0, mdst.Single, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +190,7 @@ func TestStarWorstCase(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, mode := range []mdst.Mode{mdst.Single, mdst.Multi} {
-		res, err := mdst.Run(unitEngine(), g, t0, mode)
+		res, err := mdst.Run(unitEngine(), g.Compile(), t0, mode, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -213,7 +214,7 @@ func TestWheelImprovesHubStar(t *testing.T) {
 		t.Fatalf("setup: star tree degree %d, want 11", d0)
 	}
 	for _, mode := range []mdst.Mode{mdst.Single, mdst.Multi} {
-		res, err := mdst.Run(unitEngine(), g, t0, mode)
+		res, err := mdst.Run(unitEngine(), g.Compile(), t0, mode, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -231,7 +232,7 @@ func TestChainStopsAtK2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := mdst.Run(unitEngine(), g, t0, mdst.Single)
+	res, err := mdst.Run(unitEngine(), g.Compile(), t0, mdst.Single, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +251,7 @@ func TestTinyNetworks(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, mode := range []mdst.Mode{mdst.Single, mdst.Multi} {
-			res, err := mdst.Run(unitEngine(), g, t0, mode)
+			res, err := mdst.Run(unitEngine(), g.Compile(), t0, mode, 0)
 			if err != nil {
 				t.Fatalf("n=%d: %v", g.N(), err)
 			}
@@ -270,16 +271,44 @@ func TestAsyncRace(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _, err := fr.Twin(g, t0, mdst.Multi)
+		want, _, err := fr.TwinTargetSnapshot(g.Compile(), t0, mdst.Multi, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := mdst.Run(&sim.AsyncEngine{}, g, t0, mdst.Multi)
+		res, err := mdst.Run(&sim.AsyncEngine{}, g.Compile(), t0, mdst.Multi, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !res.Tree.Equal(want) {
 			t.Errorf("seed %d: async result differs from twin", seed)
+		}
+	}
+}
+
+// TestRunLeavesInitialTreeUntouched: a run reads the initial tree through
+// the factory and must never write to it, even though every exchange
+// rewrites children lists in place (removeChild shifts the backing array).
+// Equal compares only root and parents, so the children lists are
+// compared separately.
+func TestRunLeavesInitialTreeUntouched(t *testing.T) {
+	for s := int64(1); s <= 3; s++ {
+		g := graph.Gnm(64, 192, s)
+		for _, mode := range []mdst.Mode{mdst.Single, mdst.Hybrid} {
+			initial, err := spanning.StarTree(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			clone := initial.Clone()
+			res, err := mdst.Run(unitEngine(), g.Compile(), initial, mode, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Swaps == 0 {
+				t.Fatalf("seed %d %v: no exchange applied, nothing exercised", s, mode)
+			}
+			if !initial.Equal(clone) || !reflect.DeepEqual(initial.Children, clone.Children) {
+				t.Errorf("seed %d %v: run modified the initial tree", s, mode)
+			}
 		}
 	}
 }

@@ -127,29 +127,6 @@ type Node struct {
 	deferred []deferredMsg
 }
 
-// NewFactory returns a sim.Factory for the improvement protocol starting
-// from the given initial rooted spanning tree view. The maps give, for every
-// node, its parent (roots map to themselves) and sorted children. A positive
-// target stops the algorithm as soon as the maximum degree reaches it — the
-// paper's "cannot exceed a given value k" variant; zero improves to local
-// optimality.
-func NewFactory(mode Mode, target int, root sim.NodeID, parent map[sim.NodeID]sim.NodeID, children map[sim.NodeID][]sim.NodeID) sim.Factory {
-	return func(id sim.NodeID, _ []sim.NodeID) sim.Protocol {
-		n := &Node{
-			id:       id,
-			mode:     mode,
-			phase:    mode.initialPhase(),
-			target:   target,
-			children: append([]sim.NodeID(nil), children[id]...),
-		}
-		if id != root {
-			n.parent = parent[id]
-			n.hasParent = true
-		}
-		return n
-	}
-}
-
 // stopDegree is the maximum degree at which the algorithm halts: a chain
 // (k=2) can never improve, and a caller-given target may stop earlier.
 func (n *Node) stopDegree() int {

@@ -138,7 +138,7 @@ func refPeriodic(t *testing.T, c *graph.CSR, every int64, refDir string) (*tree.
 	}
 	armed := &sim.EventEngine{Delay: sim.UnitDelay, FIFO: true,
 		Checkpoint: &sim.CheckpointSpec{Every: every, Sink: &sim.CheckpointDir{Dir: refDir}}}
-	res, err := mdst.RunTargetSnapshot(armed, c, initial, mdst.Single, 0)
+	res, err := mdst.Run(armed, c, initial, mdst.Single, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

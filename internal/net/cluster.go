@@ -103,9 +103,9 @@ func RunPipeline(t *Transport, c *graph.CSR, owner []int32, p Pipeline) (*Pipeli
 	}
 	var res *mdst.Result
 	if p.Resume != nil {
-		res, err = mdst.ResumeTargetSnapshot(eng, c, initial, p.Mode, p.Target, p.Resume)
+		res, err = mdst.Resume(eng, c, initial, p.Mode, p.Target, p.Resume)
 	} else {
-		res, err = mdst.RunTargetSnapshot(eng, c, initial, p.Mode, p.Target)
+		res, err = mdst.Run(eng, c, initial, p.Mode, p.Target)
 	}
 	switch {
 	case err == nil:

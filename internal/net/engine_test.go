@@ -84,7 +84,7 @@ func runInProcess(t *testing.T, c *graph.CSR, eng sim.Engine) (*tree.Tree, *sim.
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := mdst.RunTargetSnapshot(eng, c, initial, mdst.Single, 0)
+	res, err := mdst.Run(eng, c, initial, mdst.Single, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func inProcessCheckpoint(t *testing.T, c *graph.CSR, round int64) []byte {
 	var buf bytes.Buffer
 	spec := &sim.CheckpointSpec{Round: round, W: &buf}
 	armed := &sim.EventEngine{Delay: sim.UnitDelay, FIFO: true, Checkpoint: spec}
-	if _, err := mdst.RunTargetSnapshot(armed, c, initial, mdst.Single, 0); !errors.Is(err, sim.ErrCheckpointed) {
+	if _, err := mdst.Run(armed, c, initial, mdst.Single, 0); !errors.Is(err, sim.ErrCheckpointed) {
 		t.Fatalf("in-process run did not freeze: %v", err)
 	}
 	return buf.Bytes()

@@ -80,10 +80,9 @@ func BenchmarkReferenceEngineFlood(b *testing.B) {
 }
 
 // BenchmarkEventEngineFloodLarge measures the round engine at the scale the
-// bounded-delay schedulers unlocked (the full tier lives in `mdstbench
-// -perf`; this keeps a sample in the ordinary bench suite). The graph is the
-// shared catalog's gnm-4096 so the number is comparable with the recorded
-// trajectory entries of the same name.
+// bounded-delay schedulers unlocked (the full tier is the root package's
+// BenchmarkLargeFlood). The graph is the shared catalog's gnm-4096 so the
+// number is comparable with the other entries of the same name.
 func BenchmarkEventEngineFloodLarge(b *testing.B) {
 	c := workload.Gnm4096().Compile()
 	b.ReportAllocs()

@@ -146,17 +146,13 @@ type DistScratch struct {
 	krRow  []int64
 }
 
-// NewDistRunner builds the process's share of a run: protocol instances
-// for every node (owned ones will execute; the rest exist to receive
-// all-gathered final states), contexts and outboxes for the owned range.
-// owner maps every dense node to its owning process in [0, nprocs).
-func NewDistRunner(c *graph.CSR, owner []int32, nprocs, self int, f Factory) *DistRunner {
-	return NewDistRunnerScratch(c, owner, nprocs, self, f, nil)
-}
-
-// NewDistRunnerScratch is NewDistRunner seeded from recycled slabs (nil
-// sc allocates fresh ones). Every harvested slab is rewritten in full
-// before use, so runs stay independent; only capacity carries over.
+// NewDistRunnerScratch builds the process's share of a run: protocol
+// instances for every node (owned ones will execute; the rest exist to
+// receive all-gathered final states), contexts and outboxes for the owned
+// range. owner maps every dense node to its owning process in [0, nprocs).
+// The runner is seeded from recycled slabs (nil sc allocates fresh ones).
+// Every harvested slab is rewritten in full before use, so runs stay
+// independent; only capacity carries over.
 func NewDistRunnerScratch(c *graph.CSR, owner []int32, nprocs, self int, f Factory, sc *DistScratch) *DistRunner {
 	n := c.N()
 	ids := c.Index().IDs()
@@ -254,9 +250,6 @@ func (r *DistRunner) N() int { return r.c.N() }
 // not modify.
 func (r *DistRunner) Owned() []int32 { return r.owned }
 
-// Owns reports whether this process owns dense node v.
-func (r *DistRunner) Owns(v int32) bool { return r.owner[v] == r.self }
-
 // Report returns the process's share of the run accounting. Merge the
 // processes' reports with MergeParallel at quiescence.
 func (r *DistRunner) Report() *Report { return r.report }
@@ -323,16 +316,11 @@ func (r *DistRunner) Outbox(dst int) []OutMsg { return r.out[dst] }
 // covers the whole rank space). Valid until the next Play phase.
 func (r *DistRunner) Counts() []RankCount { return r.counts }
 
-// EncodeOwnedState serialises the state of owned dense node v with the
-// given opcode encoder (the transport's canonical wire table). The
-// protocol must implement StateCodec.
-func (r *DistRunner) EncodeOwnedState(v int32, enc func(Op) uint64) ([]byte, error) {
-	return EncodeProtocolState(r.protos[v], enc)
-}
-
-// AppendOwnedState is EncodeOwnedState into a caller-owned arena: the
-// state bytes append to buf and the grown buffer returns, so the engine's
-// all-gather encodes every owned state into one reusable slab.
+// AppendOwnedState serialises the state of owned dense node v with the
+// given opcode encoder (the transport's canonical wire table) into a
+// caller-owned arena: the state bytes append to buf and the grown buffer
+// returns, so the engine's all-gather encodes every owned state into one
+// reusable slab. The protocol must implement StateCodec.
 func (r *DistRunner) AppendOwnedState(buf []byte, v int32, enc func(Op) uint64) ([]byte, error) {
 	return AppendProtocolState(buf, r.protos[v], enc)
 }
@@ -344,15 +332,10 @@ func (r *DistRunner) DecodeStateInto(v int32, blob []byte, dec func(uint64) (Op,
 	return DecodeProtocolState(r.protos[v], blob, dec)
 }
 
-// EncodeProtocolState serialises one protocol's state as a varint word
-// stream using the given opcode encoder (nil keeps process-local opcodes).
-// The protocol must implement StateCodec.
-func EncodeProtocolState(p Protocol, enc func(Op) uint64) ([]byte, error) {
-	return AppendProtocolState(nil, p, enc)
-}
-
-// AppendProtocolState is EncodeProtocolState appending to buf, so callers
-// encoding many states can amortise into one arena.
+// AppendProtocolState serialises one protocol's state as a varint word
+// stream using the given opcode encoder (nil keeps process-local opcodes),
+// appending to buf so callers encoding many states can amortise into one
+// arena. The protocol must implement StateCodec.
 func AppendProtocolState(buf []byte, p Protocol, enc func(Op) uint64) ([]byte, error) {
 	sc, ok := p.(StateCodec)
 	if !ok {
@@ -363,7 +346,7 @@ func AppendProtocolState(buf []byte, p Protocol, enc func(Op) uint64) ([]byte, e
 	return e.buf, nil
 }
 
-// DecodeProtocolState mirrors EncodeProtocolState, enforcing the same
+// DecodeProtocolState mirrors AppendProtocolState, enforcing the same
 // exact-consumption contract as checkpoint resume.
 func DecodeProtocolState(p Protocol, blob []byte, dec func(uint64) (Op, error)) error {
 	sc, ok := p.(StateCodec)

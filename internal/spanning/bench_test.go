@@ -27,7 +27,7 @@ func BenchmarkConstruction(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/n=%d", p.name, n), func(b *testing.B) {
 				var msgs int64
 				for i := 0; i < b.N; i++ {
-					_, rep, err := Build(&sim.EventEngine{Delay: sim.UnitDelay}, g, p.factory)
+					_, rep, err := BuildCompiled(&sim.EventEngine{Delay: sim.UnitDelay}, g.Compile(), p.factory)
 					if err != nil {
 						b.Fatal(err)
 					}

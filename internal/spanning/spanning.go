@@ -87,13 +87,9 @@ func ExtractDense(c *graph.CSR, protos []sim.Protocol) (*tree.Dense, error) {
 	return d, nil
 }
 
-// Build runs a spanning-tree protocol on the engine and extracts the tree.
-func Build(eng sim.Engine, g *graph.Graph, f sim.Factory) (*tree.Tree, *sim.Report, error) {
-	return BuildCompiled(eng, g.Compile(), f)
-}
-
-// BuildCompiled is Build over a pre-compiled snapshot: BuildCompiledDense
-// followed by the conversion to the map-keyed tree.
+// BuildCompiled runs a spanning-tree protocol on the engine over the
+// compiled graph and extracts the map-keyed tree: BuildCompiledDense
+// followed by the conversion.
 func BuildCompiled(eng sim.Engine, c *graph.CSR, f sim.Factory) (*tree.Tree, *sim.Report, error) {
 	d, rep, err := BuildCompiledDense(eng, c, f)
 	if err != nil {

@@ -71,7 +71,7 @@ func TestProtocolsProduceSpanningTrees(t *testing.T) {
 				}
 				name := gname + "/" + pname + "/" + ename
 				t.Run(name, func(t *testing.T) {
-					st, rep, err := Build(eng, g, factory)
+					st, rep, err := BuildCompiled(eng, g.Compile(), factory)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -92,7 +92,7 @@ func TestProtocolsProduceSpanningTrees(t *testing.T) {
 func TestFloodUnitDelayIsBFS(t *testing.T) {
 	g := graph.Gnp(40, 0.15, 21)
 	root := g.Nodes()[0]
-	st, _, err := Build(&sim.EventEngine{Delay: sim.UnitDelay}, g, NewFloodFactory(root))
+	st, _, err := BuildCompiled(&sim.EventEngine{Delay: sim.UnitDelay}, g.Compile(), NewFloodFactory(root))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestDFSDeterministicAcrossEngines(t *testing.T) {
 	root := g.Nodes()[0]
 	var trees []*tree.Tree
 	for _, eng := range testEngines() {
-		st, _, err := Build(eng, g, NewDFSFactory(root))
+		st, _, err := BuildCompiled(eng, g.Compile(), NewDFSFactory(root))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,7 +174,7 @@ func TestGHSMatchesKruskal(t *testing.T) {
 				continue // GHS assumes FIFO channels
 			}
 			t.Run(gname+"/"+ename, func(t *testing.T) {
-				st, _, err := Build(eng, g, NewGHSFactory())
+				st, _, err := BuildCompiled(eng, g.Compile(), NewGHSFactory())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -224,7 +224,7 @@ func TestElectionPicksMinID(t *testing.T) {
 // generous constant.
 func TestGHSMessageComplexity(t *testing.T) {
 	g := graph.Gnp(64, 0.15, 77)
-	_, rep, err := Build(&sim.EventEngine{Delay: sim.UnitDelay}, g, NewGHSFactory())
+	_, rep, err := BuildCompiled(&sim.EventEngine{Delay: sim.UnitDelay}, g.Compile(), NewGHSFactory())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,11 @@
 // Package workload is the single catalog of the large benchmark graphs.
-// The root bench suite, the internal/sim engine benches and the `mdstbench
-// -perf`/-netbench suites all measure "the 100k grid" or "the 16k
-// preferential-attachment graph" — before this catalog each spelled out its
-// own generator call, and a drifted seed or size silently made trajectories
-// incomparable. A workload name used anywhere in a BENCH_*.json file or a
-// benchmark label resolves here and nowhere else.
+// The root bench suite and allocation pins, the internal/sim engine benches
+// and the `mdstbench -netbench` suite all measure "the 100k grid" or "the
+// 16k preferential-attachment graph" — before this catalog each spelled out
+// its own generator call, and a drifted seed or size silently made
+// trajectories incomparable. A workload name used anywhere in
+// BENCH_net.json, an allocation pin or a benchmark label resolves here and
+// nowhere else.
 package workload
 
 import "mdegst/internal/graph"
@@ -17,8 +18,9 @@ type Workload struct {
 	Gen  func() *graph.Graph
 }
 
-// Large is the large-graph flood tier of the perf suite (recorded in
-// BENCH_wire.json): raw engine throughput from 4k to 1M nodes.
+// Large is the large-graph flood tier, raw engine throughput from 4k to 1M
+// nodes: BenchmarkLargeFlood times it and TestAllocsPinned pins its
+// allocation counts.
 func Large() []Workload {
 	return []Workload{
 		{"gnm-4096", Gnm4096},
@@ -28,9 +30,9 @@ func Large() []Workload {
 	}
 }
 
-// The named generators, fixed seed and size. These exact parameters are
-// recorded in the BENCH_*.json trajectory files; changing one invalidates
-// every baseline that mentions its name.
+// The named generators, fixed seed and size. These exact parameters stand
+// behind BENCH_net.json and the recorded counts of TestAllocsPinned;
+// changing one invalidates every baseline that mentions its name.
 
 func Gnm4096() *graph.Graph  { return graph.Gnm(4096, 16384, 1) }
 func BA16384() *graph.Graph  { return graph.BarabasiAlbert(16384, 2, 1) }

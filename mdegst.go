@@ -263,7 +263,7 @@ func Improve(g *Graph, initial *Tree, opts Options) (*Result, error) {
 
 // ImproveCompiled is Improve over a pre-compiled snapshot.
 func ImproveCompiled(c *CompiledGraph, initial *Tree, opts Options) (*Result, error) {
-	r, err := mdst.RunTargetSnapshot(opts.engine(), c, initial, opts.Mode, opts.TargetDegree)
+	r, err := mdst.Run(opts.engine(), c, initial, opts.Mode, opts.TargetDegree)
 	if err != nil {
 		return nil, err
 	}
@@ -299,7 +299,7 @@ func CheckpointImprove(c *CompiledGraph, initial *Tree, opts Options, round int6
 		return false, fmt.Errorf("mdegst: checkpointing picks its own unit-delay engine; Options.Engine must be nil")
 	}
 	spec := &sim.CheckpointSpec{Round: round, W: w}
-	_, err := mdst.RunTargetSnapshot(checkpointEngine(spec), c, initial, opts.Mode, opts.TargetDegree)
+	_, err := mdst.Run(checkpointEngine(spec), c, initial, opts.Mode, opts.TargetDegree)
 	switch {
 	case err == nil:
 		return false, nil
@@ -324,7 +324,7 @@ func ResumeImprove(c *CompiledGraph, initial *Tree, opts Options, r io.Reader) (
 	if err != nil {
 		return nil, err
 	}
-	res, err := mdst.ResumeTargetSnapshot(checkpointEngine(nil), c, initial, opts.Mode, opts.TargetDegree, ck)
+	res, err := mdst.Resume(checkpointEngine(nil), c, initial, opts.Mode, opts.TargetDegree, ck)
 	if err != nil {
 		return nil, err
 	}
@@ -353,7 +353,7 @@ func checkpointEngine(spec *sim.CheckpointSpec) sim.ResumableEngine {
 // round/exchange counts. It is the fast path for large parameter sweeps and
 // the oracle the distributed runs are tested against.
 func ImproveSequential(g *Graph, initial *Tree, mode Mode) (*Tree, int, int, error) {
-	t, stats, err := fr.Twin(g, initial, mode)
+	t, stats, err := fr.TwinTargetSnapshot(g.Compile(), initial, mode, 0)
 	if err != nil {
 		return nil, 0, 0, err
 	}
